@@ -11,8 +11,12 @@
 //! ```
 //!
 //! For large `n` the recursion admits the closed form
-//! `S_n = (S_1^4 + (n−1)·c/(1+β))^(1/4)`, which this module uses as its fast
-//! path; the exact recursion remains available for validation.
+//! `S_n = (S_1^4 + (n−1)·c/(1+β))^(1/4)`. [`s_n`], the evaluator the model
+//! uses, runs the recursion exactly for the first 4096 cycles and anchors
+//! the closed form there. [`s_n_grid`] returns the same values for a whole
+//! duty-cycle × cycle-count grid at once: each duty cycle's recursion is
+//! run once for all its cycle counts, and eight duty cycles step in
+//! lockstep so their division chains overlap.
 
 use crate::error::{check_range, ModelError};
 use crate::units::Seconds;
@@ -88,8 +92,9 @@ pub fn s1(duty_cycle: f64) -> f64 {
 
 /// Exact evaluation of the recursion (eq. 10) by iterating `n − 1` steps.
 ///
-/// Intended for validation and small `n`; use [`s_n_closed`] in production
-/// paths. Returns 0 for `c = 0` (no stress at all).
+/// Intended for validation and small `n`; production paths use [`s_n`],
+/// which runs this recursion for at most 4096 steps. Returns 0 for `c = 0`
+/// (no stress at all).
 ///
 /// ```
 /// use relia_core::ac::{s_n_closed, s_n_exact};
@@ -153,6 +158,65 @@ pub fn s_n(duty_cycle: f64, n: u64) -> f64 {
     let b = beta(duty_cycle);
     let anchor = s_n_exact(duty_cycle, EXACT_PREFIX);
     (anchor.powi(4) + (n - EXACT_PREFIX) as f64 * duty_cycle / (1.0 + b)).powf(0.25)
+}
+
+/// Duty cycles [`s_n_grid`] steps in lockstep.
+const LANES: usize = 8;
+
+/// [`s_n`] over a grid: element `d * ns.len() + j` is
+/// `s_n(duties[d], ns[j])`, bit for bit.
+///
+/// Each duty cycle's exact prefix runs once, up to the largest `n` it
+/// needs (at most 4096 steps), and every `n` is read off as the recursion
+/// passes it. Duty cycles go in groups of eight whose recursions advance
+/// in lockstep; each lane evaluates the scalar expression in the scalar
+/// order, and Rust never fuses a multiply and an add, so every lane
+/// rounds exactly as [`s_n_exact`] does.
+///
+/// ```
+/// use relia_core::ac::{s_n, s_n_grid};
+///
+/// let (duties, ns) = ([0.0, 0.3, 0.5], [1u64, 10_000, 4096]);
+/// let grid = s_n_grid(&duties, &ns);
+/// for (d, &c) in duties.iter().enumerate() {
+///     for (j, &n) in ns.iter().enumerate() {
+///         assert_eq!(grid[d * ns.len() + j].to_bits(), s_n(c, n).to_bits());
+///     }
+/// }
+/// ```
+pub fn s_n_grid(duties: &[f64], ns: &[u64]) -> Vec<f64> {
+    let mut order: Vec<usize> = (0..ns.len()).collect();
+    order.sort_by_key(|&j| ns[j]);
+    let mut out = vec![0.0; duties.len() * ns.len()];
+    for (group, chunk) in duties.chunks(LANES).enumerate() {
+        // Short groups repeat their last duty cycle in the spare lanes.
+        let c: [f64; LANES] = std::array::from_fn(|l| chunk[l.min(chunk.len() - 1)]);
+        let b = c.map(beta);
+        let mut s = c.map(s1);
+        let mut step = 1; // `s` holds S_step.
+        for &j in &order {
+            let n = ns[j];
+            if n == 0 {
+                continue;
+            }
+            while step < n.min(EXACT_PREFIX) {
+                for l in 0..LANES {
+                    s[l] += c[l] / (4.0 * (1.0 + b[l]) * s[l] * s[l] * s[l]);
+                }
+                step += 1;
+            }
+            for (l, &duty) in chunk.iter().enumerate() {
+                out[(group * LANES + l) * ns.len() + j] = if duty == 0.0 {
+                    0.0
+                } else if n <= EXACT_PREFIX {
+                    s[l]
+                } else {
+                    (s[l].powi(4) + (n - EXACT_PREFIX) as f64 * duty / (1.0 + b[l])).powf(0.25)
+                };
+            }
+        }
+    }
+    out
 }
 
 /// Ratio of AC-stress to DC-stress degradation at the same elapsed time, in

@@ -8,6 +8,8 @@
 //! `K_v(T)` — depend on the `(schedule, stress, time)` point alone, so a
 //! [`HoistedStress`] computes them **once** and reduces each device to a
 //! square root and an exponential over its overdrive.
+//! [`NbtiModel::hoist_grid`] hoists many points and times in one call and
+//! shares the trap-factor recursion among them.
 //!
 //! The per-device arithmetic is kept expression-for-expression identical to
 //! the scalar path, so a hoisted evaluation is bit-equal to
@@ -19,6 +21,7 @@
 //! per Monte-Carlo sample, hoisted here so the flow crate, the fleet engine,
 //! and the benches all share one implementation.
 
+use crate::ac::s_n_grid;
 use crate::equivalent::{EquivalentCycle, ModeSchedule, PmosStress};
 use crate::error::{check_finite, check_range, ModelError};
 use crate::model::NbtiModel;
@@ -143,6 +146,90 @@ impl NbtiModel {
             od_nom: params.overdrive(),
             field_scale: params.field_scale.0,
         })
+    }
+
+    /// [`NbtiModel::hoist`] over a grid of stress points and times:
+    /// element `p * times.len() + j` equals
+    /// `self.hoist(times[j], &points[p].0, &points[p].1)` bit for bit.
+    ///
+    /// Each point's equivalent cycle is built once, and all trap-factor
+    /// recursions run through [`s_n_grid`]: a point's times share one
+    /// recursion, and points with the same cycle counts share its lanes.
+    ///
+    /// # Errors
+    ///
+    /// The first error the element-by-element `hoist` calls would return,
+    /// in the same row-major order.
+    pub fn hoist_grid(
+        &self,
+        points: &[(ModeSchedule, PmosStress)],
+        times: &[Seconds],
+    ) -> Result<Vec<HoistedStress>, ModelError> {
+        if times.is_empty() {
+            return Ok(Vec::new());
+        }
+        let params = self.params();
+        let valid =
+            |t: Seconds| check_range("total_time", t.0, 0.0, f64::MAX, "non-negative seconds");
+        let cycles: Vec<Result<EquivalentCycle, ModelError>> = points
+            .iter()
+            .map(|(schedule, stress)| EquivalentCycle::build(params, schedule, stress))
+            .collect();
+
+        // Cycle counts per stressed point (0 where `hoist` needs none),
+        // then one `s_n_grid` per group of points with the same counts.
+        let mut rows: Vec<(Vec<u64>, usize, f64)> = Vec::new();
+        for (p, ((schedule, _), cycle)) in points.iter().zip(&cycles).enumerate() {
+            if let Ok(eq) = cycle {
+                let duty = eq.stress.duty_cycle();
+                if duty != 0.0 {
+                    let period = schedule.period().0;
+                    let ns = times
+                        .iter()
+                        .map(|&t| match valid(t) {
+                            Ok(_) if t.0 != 0.0 => ((t.0 / period).floor() as u64).max(1),
+                            _ => 0,
+                        })
+                        .collect();
+                    rows.push((ns, p, duty));
+                }
+            }
+        }
+        rows.sort_by(|a, b| a.0.cmp(&b.0));
+        let mut s = vec![0.0; points.len() * times.len()];
+        for group in rows.chunk_by(|a, b| a.0 == b.0) {
+            let duties: Vec<f64> = group.iter().map(|&(_, _, duty)| duty).collect();
+            let grid = s_n_grid(&duties, &group[0].0);
+            for (&(_, p, _), row) in group.iter().zip(grid.chunks(times.len())) {
+                s[p * times.len()..][..times.len()].copy_from_slice(row);
+            }
+        }
+
+        let mut out = Vec::with_capacity(s.len());
+        for (p, ((schedule, _), cycle)) in points.iter().zip(&cycles).enumerate() {
+            let kv = self.kv(schedule.temp_active());
+            for (j, &t) in times.iter().enumerate() {
+                valid(t)?;
+                let base = if t.0 == 0.0 {
+                    0.0
+                } else {
+                    let eq = cycle.as_ref().map_err(Clone::clone)?;
+                    if eq.stress.duty_cycle() == 0.0 {
+                        0.0
+                    } else {
+                        let trap_factor = s[p * times.len() + j] * eq.stress.period().0.powf(0.25);
+                        check_finite("delta_vth", kv * trap_factor)?
+                    }
+                };
+                out.push(HoistedStress {
+                    base,
+                    vdd: params.vdd.0,
+                    od_nom: params.overdrive(),
+                    field_scale: params.field_scale.0,
+                });
+            }
+        }
+        Ok(out)
     }
 }
 

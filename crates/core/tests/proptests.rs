@@ -2,7 +2,7 @@
 
 #![allow(clippy::unwrap_used)]
 use proptest::prelude::*;
-use relia_core::ac::{ac_to_dc_ratio, s_n, s_n_exact};
+use relia_core::ac::{ac_to_dc_ratio, s_n, s_n_exact, s_n_grid};
 use relia_core::arrhenius::diffusion_ratio;
 use relia_core::rd::recovery_fraction;
 use relia_core::units::{ElectronVolts, Kelvin, Seconds, Volts};
@@ -10,6 +10,67 @@ use relia_core::{
     DelayDegradation, EquivalentCycle, ModeSchedule, NbtiModel, NbtiParams, PmosStress, Ras,
     VthDistribution,
 };
+
+/// Duty cycles for the grid parity tests: the interior plus the edges
+/// where the recursion degenerates or its terms get tiny.
+fn duty_cycle() -> impl Strategy<Value = f64> {
+    prop_oneof![
+        0.0f64..1.0,
+        Just(0.0),
+        Just(1.0),
+        Just(1e-300),
+        Just(f64::MIN_POSITIVE),
+    ]
+}
+
+/// Cycle counts around the exact-prefix boundary, plus 0 and 10⁷; a
+/// vector of them is unsorted and often repeats one.
+fn cycle_count() -> impl Strategy<Value = u64> {
+    prop_oneof![
+        0u64..6000,
+        Just(0),
+        Just(1),
+        Just(4096),
+        Just(4097),
+        Just(10_000_000),
+    ]
+}
+
+/// A stress point over several mode periods; about one point in six has
+/// zero stress probability, hence a zero equivalent duty cycle.
+fn stress_point() -> impl Strategy<Value = (ModeSchedule, PmosStress)> {
+    let prob = || prop_oneof![0.0f64..1.0, Just(0.0), Just(1.0)];
+    (
+        0.0f64..20.0,
+        prop_oneof![Just(1000.0), Just(1.0), 0.5f64..1e5],
+        300.0f64..400.0,
+        prob(),
+        prob(),
+    )
+        .prop_map(|(standby_weight, period, temp_s, p_a, p_s)| {
+            let schedule = ModeSchedule::new(
+                Ras::new(1.0, standby_weight).unwrap(),
+                Seconds(period),
+                Kelvin(400.0),
+                Kelvin(temp_s),
+            )
+            .unwrap();
+            (schedule, PmosStress::new(p_a, p_s).unwrap())
+        })
+}
+
+/// Element-by-element `hoist` in `hoist_grid`'s row-major order; `collect`
+/// stops at the first error, as the grid must.
+fn hoist_pointwise(
+    model: &NbtiModel,
+    points: &[(ModeSchedule, PmosStress)],
+    times: &[Seconds],
+) -> Result<Vec<relia_core::HoistedStress>, relia_core::ModelError> {
+    points
+        .iter()
+        .flat_map(|(schedule, stress)| times.iter().map(|&t| model.hoist(t, schedule, stress)))
+        .collect()
+}
 
 proptest! {
     /// The hybrid S_n evaluator tracks the exact recursion everywhere.
@@ -195,5 +256,60 @@ proptest! {
         for (v, o) in vals.iter().zip(&out) {
             prop_assert_eq!(hoisted.delta_vth_at(*v).to_bits(), o.to_bits());
         }
+    }
+
+    /// The batched recursion is `s_n` itself, bit for bit, whatever the
+    /// duty set (zeros, ones, tiny values, lengths off the lane width)
+    /// and however the cycle counts are ordered or repeated.
+    #[test]
+    fn s_n_grid_equals_s_n_bit_for_bit(
+        duties in prop::collection::vec(duty_cycle(), 0..20),
+        ns in prop::collection::vec(cycle_count(), 0..10),
+    ) {
+        let grid = s_n_grid(&duties, &ns);
+        prop_assert_eq!(grid.len(), duties.len() * ns.len());
+        for (d, &c) in duties.iter().enumerate() {
+            for (j, &n) in ns.iter().enumerate() {
+                let (got, want) = (grid[d * ns.len() + j], s_n(c, n));
+                prop_assert_eq!(got.to_bits(), want.to_bits(), "c={} n={}: {} vs {}", c, n, got, want);
+            }
+        }
+    }
+
+    /// `hoist_grid` is `hoist` at every (point, time), bit for bit,
+    /// including t = 0, zero-duty stress and mixed mode periods.
+    #[test]
+    fn hoist_grid_equals_hoist_bit_for_bit(
+        points in prop::collection::vec(stress_point(), 1..12),
+        times in prop::collection::vec(prop_oneof![Just(0.0), 1.0f64..3.2e8, Just(1e10)], 1..8),
+    ) {
+        let model = NbtiModel::ptm90().unwrap();
+        let times: Vec<Seconds> = times.into_iter().map(Seconds).collect();
+        let grid = model.hoist_grid(&points, &times).unwrap();
+        let pointwise = hoist_pointwise(&model, &points, &times).unwrap();
+        prop_assert_eq!(grid.len(), pointwise.len());
+        for (g, p) in grid.iter().zip(&pointwise) {
+            prop_assert_eq!(g.base().to_bits(), p.base().to_bits());
+            prop_assert_eq!(g, p);
+        }
+    }
+
+    /// A NaN or negative time fails `hoist_grid` with the error the
+    /// pointwise calls hit first.
+    #[test]
+    fn hoist_grid_fails_like_hoist(
+        points in prop::collection::vec(stress_point(), 1..6),
+        times in prop::collection::vec(prop_oneof![Just(0.0), 1.0f64..3.2e8], 1..6),
+        bad in prop_oneof![Just(f64::NAN), Just(-1.0), -1e9f64..-1e-9],
+        at in 0usize..6,
+    ) {
+        let model = NbtiModel::ptm90().unwrap();
+        let mut times: Vec<Seconds> = times.into_iter().map(Seconds).collect();
+        let at = at % times.len();
+        times[at] = Seconds(bad);
+        // Debug forms, since a NaN in the error never compares equal.
+        let grid = model.hoist_grid(&points, &times).unwrap_err();
+        let pointwise = hoist_pointwise(&model, &points, &times).unwrap_err();
+        prop_assert_eq!(format!("{grid:?}"), format!("{pointwise:?}"));
     }
 }

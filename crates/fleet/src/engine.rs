@@ -4,7 +4,7 @@
 //! correlated variation samples. The expensive, *sample-independent* work —
 //! the Arrhenius exponentials, the AC-recursion prefix, and the equivalent
 //! stress-time transform — is hoisted once per stress point into a
-//! [`HoistedStress`] ([`relia_core::NbtiModel::hoist`]); the per-sample
+//! [`HoistedStress`] ([`relia_core::NbtiModel::hoist_grid`]); the per-sample
 //! loop is then a handful of flops on a structure-of-arrays accumulator.
 //!
 //! Samples are drawn in fixed-size chunks, each chunk from its own
@@ -212,10 +212,7 @@ impl FleetEvaluator {
         let model = NbtiModel::ptm90()?;
         let schedule = spec.schedule()?;
         let stress = spec.stress()?;
-        let mut hoisted = Vec::with_capacity(spec.times.len());
-        for &t in &spec.times {
-            hoisted.push(model.hoist(t, &schedule, &stress)?);
-        }
+        let hoisted = model.hoist_grid(&[(schedule, stress)], &spec.times)?;
         // The Box–Muller draw clamps z to ±3.5, so these two extremes
         // bound every vth0 the sampler can produce.
         let mean = spec.dist.mean().0;

@@ -3,7 +3,9 @@
 //! midpoint to *measure* the interpolation sup-error that gets sealed into
 //! the artifact header — the accuracy contract ships with the data.
 
-use relia_core::{Kelvin, ModeSchedule, NbtiModel, PmosStress, Ras, Seconds};
+use relia_core::{
+    HoistedStress, Kelvin, ModeSchedule, ModelError, NbtiModel, PmosStress, Ras, Seconds,
+};
 use relia_jobs::{default_workers, run_ordered, JobOutcome, SWEEP_PERIOD_S, SWEEP_TEMP_ACTIVE_K};
 
 use crate::artifact::{Artifact, SurfaceError};
@@ -104,6 +106,24 @@ impl BuildSpec {
     }
 }
 
+/// The `Ras → ModeSchedule → PmosStress` canonicalization the sweep
+/// engine uses, at one surface coordinate (lifetime aside).
+fn stress_point(
+    period_s: f64,
+    t_active_k: Kelvin,
+    t_standby_k: Kelvin,
+    ras_fraction: f64,
+    (p_active, p_standby): (f64, f64),
+) -> Result<(ModeSchedule, PmosStress), ModelError> {
+    let ras = Ras::new(ras_fraction, 1.0 - ras_fraction)?;
+    let schedule = ModeSchedule::new(ras, Seconds(period_s), t_active_k, t_standby_k)?;
+    Ok((schedule, PmosStress::new(p_active, p_standby)?))
+}
+
+fn build_error(e: ModelError) -> SurfaceError {
+    SurfaceError::Build(e.to_string())
+}
+
 /// One exact model evaluation at a surface coordinate: the same
 /// `Ras → ModeSchedule → PmosStress → hoist` path the sweep engine
 /// canonicalizes, with the hoisted base being a plain `delta_vth` value.
@@ -116,23 +136,60 @@ pub fn evaluate_exact(
     period_s: f64,
     query: &SurfaceQuery,
 ) -> Result<f64, SurfaceError> {
-    let build = |e: relia_core::ModelError| SurfaceError::Build(e.to_string());
-    let ras = Ras::new(query.ras_fraction, 1.0 - query.ras_fraction).map_err(build)?;
-    let schedule = ModeSchedule::new(ras, Seconds(period_s), query.t_active_k, query.t_standby_k)
-        .map_err(build)?;
-    let stress = PmosStress::new(query.p_active, query.p_standby).map_err(build)?;
+    let (schedule, stress) = stress_point(
+        period_s,
+        query.t_active_k,
+        query.t_standby_k,
+        query.ras_fraction,
+        (query.p_active, query.p_standby),
+    )
+    .map_err(build_error)?;
     Ok(model
         .hoist(Seconds(query.lifetime_s), &schedule, &stress)
-        .map_err(build)?
+        .map_err(build_error)?
         .base())
 }
 
-/// One grid column: every lifetime at a fixed `(pair, T_a, T_s, ras)`.
-struct Column {
-    pair: usize,
-    i_ta: usize,
-    i_ts: usize,
-    i_rf: usize,
+/// One grid column, `(pair, T_a, T_s, ras)`: every lifetime at a fixed
+/// stress pair and operating point.
+type Column = (usize, f64, f64, f64);
+
+/// Grid columns per pool job: one lane group of `s_n_grid`.
+const COLUMNS_PER_JOB: usize = 8;
+
+/// Every column over the given axes, pair-major and RAS fastest — the
+/// order of the grid's flat index.
+fn columns(pairs: usize, t_active: &[f64], t_standby: &[f64], ras: &[f64]) -> Vec<Column> {
+    let mut cols = Vec::new();
+    for pair in 0..pairs {
+        for &ta in t_active {
+            for &ts in t_standby {
+                for &rf in ras {
+                    cols.push((pair, ta, ts, rf));
+                }
+            }
+        }
+    }
+    cols
+}
+
+/// [`evaluate_exact`] at every lifetime of every column, row-major and
+/// bit for bit, through one `hoist_grid` call.
+fn evaluate_columns(
+    model: &NbtiModel,
+    spec: &BuildSpec,
+    cols: &[Column],
+    lifetimes: &[Seconds],
+) -> Result<Vec<f64>, SurfaceError> {
+    let points = cols
+        .iter()
+        .map(|&(pair, ta, ts, rf)| {
+            stress_point(spec.period_s, Kelvin(ta), Kelvin(ts), rf, spec.pairs[pair])
+        })
+        .collect::<Result<Vec<_>, _>>()
+        .map_err(build_error)?;
+    let hoisted = model.hoist_grid(&points, lifetimes).map_err(build_error)?;
+    Ok(hoisted.iter().map(HoistedStress::base).collect())
 }
 
 /// Cell midpoints along one axis (`log` → geometric midpoints); a
@@ -184,86 +241,51 @@ pub fn build(model: &NbtiModel, spec: &BuildSpec) -> Result<Artifact, SurfaceErr
     } else {
         spec.workers
     };
+    let seconds = |axis: &[f64]| axis.iter().map(|&t| Seconds(t)).collect::<Vec<_>>();
 
-    // Phase 1: fill the grid, one job per (pair, T_a, T_s, ras) column.
-    let mut columns = Vec::new();
-    for pair in 0..spec.pairs.len() {
-        for i_ta in 0..grid.t_active_k().len() {
-            for i_ts in 0..grid.t_standby_k().len() {
-                for i_rf in 0..grid.ras_fraction().len() {
-                    columns.push(Column {
-                        pair,
-                        i_ta,
-                        i_ts,
-                        i_rf,
-                    });
-                }
-            }
-        }
-    }
-    let outcomes = run_ordered(&columns, workers, |_, col| {
-        let (pa, ps) = spec.pairs[col.pair];
-        grid.lifetime_s()
-            .iter()
-            .map(|&t| {
-                evaluate_exact(
-                    model,
-                    spec.period_s,
-                    &SurfaceQuery {
-                        t_active_k: Kelvin(grid.t_active_k()[col.i_ta]),
-                        t_standby_k: Kelvin(grid.t_standby_k()[col.i_ts]),
-                        ras_fraction: grid.ras_fraction()[col.i_rf],
-                        lifetime_s: t,
-                        p_active: pa,
-                        p_standby: ps,
-                    },
-                )
-            })
-            .collect::<Result<Vec<f64>, SurfaceError>>()
+    // Phase 1: fill the grid, one job per eight columns of one pair.
+    // Columns come in flat-index order, so a pair's block is its jobs'
+    // rows laid end to end.
+    let cols = columns(
+        spec.pairs.len(),
+        grid.t_active_k(),
+        grid.t_standby_k(),
+        grid.ras_fraction(),
+    );
+    let lifetimes = seconds(grid.lifetime_s());
+    let jobs: Vec<&[Column]> = cols
+        .chunks(cols.len() / spec.pairs.len())
+        .flat_map(|pair| pair.chunks(COLUMNS_PER_JOB))
+        .collect();
+    let outcomes = run_ordered(&jobs, workers, |_, job| {
+        evaluate_columns(model, spec, job, &lifetimes)
     });
-    let mut values = vec![vec![0.0; grid.len()]; spec.pairs.len()];
-    for (col, outcome) in columns.iter().zip(outcomes) {
-        let row = unwrap_outcome(outcome)?;
-        for (i_lt, v) in row.into_iter().enumerate() {
-            values[col.pair][grid.index(col.i_ta, col.i_ts, col.i_rf, i_lt)] = v;
-        }
+    let mut values: Vec<Vec<f64>> = (0..spec.pairs.len())
+        .map(|_| Vec::with_capacity(grid.len()))
+        .collect();
+    for (job, outcome) in jobs.iter().zip(outcomes) {
+        values[job[0].0].extend(unwrap_outcome(outcome)?);
     }
 
     // Phase 2: measure the sup of the relative interpolation error at
     // every cell midpoint — where multilinear interpolation of a smooth
     // function peaks — so the header carries evidence, not hope.
-    let mid_ta = midpoints(grid.t_active_k(), false);
-    let mid_ts = midpoints(grid.t_standby_k(), false);
-    let mid_rf = midpoints(grid.ras_fraction(), false);
-    let mid_lt = midpoints(grid.lifetime_s(), true);
-    let mut sweep_cols = Vec::new();
-    for pair in 0..spec.pairs.len() {
-        for &ta in &mid_ta {
-            for &ts in &mid_ts {
-                for &rf in &mid_rf {
-                    sweep_cols.push((pair, ta, ts, rf));
-                }
-            }
-        }
-    }
-    let sweeps = run_ordered(&sweep_cols, workers, |_, &(pair, ta, ts, rf)| {
-        let (pa, ps) = spec.pairs[pair];
+    let sweep_cols = columns(
+        spec.pairs.len(),
+        &midpoints(grid.t_active_k(), false),
+        &midpoints(grid.t_standby_k(), false),
+        &midpoints(grid.ras_fraction(), false),
+    );
+    let mid_lt = seconds(&midpoints(grid.lifetime_s(), true));
+    let jobs: Vec<&[Column]> = sweep_cols.chunks(COLUMNS_PER_JOB).collect();
+    let sweeps = run_ordered(&jobs, workers, |_, job| {
+        let exact = evaluate_columns(model, spec, job, &mid_lt)?;
         let mut worst = 0.0f64;
-        for &t in &mid_lt {
-            let exact = evaluate_exact(
-                model,
-                spec.period_s,
-                &SurfaceQuery {
-                    t_active_k: Kelvin(ta),
-                    t_standby_k: Kelvin(ts),
-                    ras_fraction: rf,
-                    lifetime_s: t,
-                    p_active: pa,
-                    p_standby: ps,
-                },
-            )?;
-            let (approx, _) = interpolate(&grid, &values[pair], ta, ts, rf, t);
-            worst = worst.max(rel_error(approx, exact));
+        for (&(pair, ta, ts, rf), row) in job.iter().zip(exact.chunks(mid_lt.len())) {
+            for (t, &exact) in mid_lt.iter().zip(row) {
+                let (approx, _) = interpolate(&grid, &values[pair], ta, ts, rf, t.0);
+                worst = worst.max(rel_error(approx, exact));
+            }
         }
         Ok(worst)
     });
@@ -377,6 +399,31 @@ mod tests {
         )
         .unwrap();
         assert_eq!(one.to_bytes(), four.to_bytes());
+    }
+
+    /// Length and 64-bit FNV-1a of a whole artifact file. (A CRC-32 over
+    /// the file would not do: with the CRC trailer included it is the
+    /// same residue for every intact artifact.)
+    fn digest(model: &NbtiModel, spec: &BuildSpec) -> (usize, u64) {
+        let bytes = build(model, spec).unwrap().to_bytes();
+        let fnv = bytes.iter().fold(0xcbf2_9ce4_8422_2325u64, |h, &b| {
+            (h ^ u64::from(b)).wrapping_mul(0x0000_0100_0000_01b3)
+        });
+        (bytes.len(), fnv)
+    }
+
+    /// The artifact bytes are pinned: any drift in a grid value, the
+    /// measured sup-error or the column order changes the digest. The
+    /// two-pair spec puts a zero-duty pair next to a stressed one.
+    #[test]
+    fn artifact_bytes_are_pinned() {
+        let model = NbtiModel::ptm90().unwrap();
+        assert_eq!(digest(&model, &test_spec()), (38492, 0xd32c_427d_fcad_cad4));
+        let two_pairs = BuildSpec {
+            pairs: vec![(0.5, 1.0), (0.0, 0.0)],
+            ..test_spec()
+        };
+        assert_eq!(digest(&model, &two_pairs), (76452, 0xe74a_2ac8_0acd_2ca7));
     }
 
     #[test]

@@ -147,6 +147,14 @@ printf '%s\n' "$probe_out" | grep -q "clamped: true" || {
 cargo run -q --offline --release -p relia-serve --example loadgen -- \
     --requests 1000 --threads 2 --surface "$surface_rls"
 rm -f "$surface_rls"
+# The default artifact must not depend on the worker count.
+target/release/relia surface build --out "$surface_rls.w1" --workers 1 >/dev/null
+target/release/relia surface build --out "$surface_rls.w2" --workers 2 >/dev/null
+cmp "$surface_rls.w1" "$surface_rls.w2" || {
+    echo "surface: default artifact differs between 1 and 2 workers" >&2
+    exit 1
+}
+rm -f "$surface_rls.w1" "$surface_rls.w2"
 
 echo "==> bench_fleet (hoisted-batch speedup gate vs BENCH_fleet.json)"
 cargo run -q --offline --release -p relia-bench --bin bench_fleet -- --check
