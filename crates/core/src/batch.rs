@@ -9,7 +9,9 @@
 //! [`HoistedStress`] computes them **once** and reduces each device to a
 //! square root and an exponential over its overdrive.
 //! [`NbtiModel::hoist_grid`] hoists many points and times in one call and
-//! shares the trap-factor recursion among them.
+//! shares the trap-factor recursion among them;
+//! [`crate::StressKey::evaluate_many`] runs a batch of memo keys through
+//! the same engine.
 //!
 //! The per-device arithmetic is kept expression-for-expression identical to
 //! the scalar path, so a hoisted evaluation is bit-equal to
@@ -75,8 +77,7 @@ impl HoistedStress {
     ///
     /// Returns [`ModelError`] for a threshold outside `[0, vdd)`.
     pub fn check_vth0(&self, vth0: Volts) -> Result<(), ModelError> {
-        check_range("vth0", vth0.0, 0.0, self.vdd - 1e-6, "[0, vdd)")?;
-        Ok(())
+        crate::model::check_vth0(vth0, Volts(self.vdd))
     }
 
     /// Evaluates a whole structure-of-arrays batch: `out[i]` becomes the
@@ -165,8 +166,23 @@ impl NbtiModel {
         points: &[(ModeSchedule, PmosStress)],
         times: &[Seconds],
     ) -> Result<Vec<HoistedStress>, ModelError> {
-        if times.is_empty() {
-            return Ok(Vec::new());
+        self.hoist_rows(points, times.len(), |_| times)
+            .into_iter()
+            .collect()
+    }
+
+    /// The engine behind [`NbtiModel::hoist_grid`] and
+    /// [`crate::StressKey::evaluate_many`]: point `p` is hoisted at each of
+    /// its own `width` times `times(p)`, and element `p * width + j` is
+    /// `self.hoist(times(p)[j], ..)`, error included.
+    pub(crate) fn hoist_rows<'t>(
+        &self,
+        points: &[(ModeSchedule, PmosStress)],
+        width: usize,
+        times: impl Fn(usize) -> &'t [Seconds],
+    ) -> Vec<Result<HoistedStress, ModelError>> {
+        if width == 0 {
+            return Vec::new();
         }
         let params = self.params();
         let valid =
@@ -176,60 +192,61 @@ impl NbtiModel {
             .map(|(schedule, stress)| EquivalentCycle::build(params, schedule, stress))
             .collect();
 
-        // Cycle counts per stressed point (0 where `hoist` needs none),
-        // then one `s_n_grid` per group of points with the same counts.
-        let mut rows: Vec<(Vec<u64>, usize, f64)> = Vec::new();
+        // Cycle counts per stressed point (0 where `hoist` needs none).
+        let mut ns = vec![0; points.len() * width];
+        let mut stressed = Vec::new();
         for (p, ((schedule, _), cycle)) in points.iter().zip(&cycles).enumerate() {
-            if let Ok(eq) = cycle {
-                let duty = eq.stress.duty_cycle();
-                if duty != 0.0 {
-                    let period = schedule.period().0;
-                    let ns = times
-                        .iter()
-                        .map(|&t| match valid(t) {
-                            Ok(_) if t.0 != 0.0 => ((t.0 / period).floor() as u64).max(1),
-                            _ => 0,
-                        })
-                        .collect();
-                    rows.push((ns, p, duty));
+            let Ok(eq) = cycle else { continue };
+            let duty = eq.stress.duty_cycle();
+            if duty != 0.0 {
+                let period = schedule.period().0;
+                for (n, &t) in ns[p * width..][..width].iter_mut().zip(times(p)) {
+                    if valid(t).is_ok() && t.0 != 0.0 {
+                        *n = ((t.0 / period).floor() as u64).max(1);
+                    }
                 }
+                stressed.push((p, duty));
             }
         }
-        rows.sort_by(|a, b| a.0.cmp(&b.0));
-        let mut s = vec![0.0; points.len() * times.len()];
-        for group in rows.chunk_by(|a, b| a.0 == b.0) {
-            let duties: Vec<f64> = group.iter().map(|&(_, _, duty)| duty).collect();
-            let grid = s_n_grid(&duties, &group[0].0);
-            for (&(_, p, _), row) in group.iter().zip(grid.chunks(times.len())) {
-                s[p * times.len()..][..times.len()].copy_from_slice(row);
+        // One `s_n_grid` per group of stressed points with equal counts.
+        let row = |p: usize| &ns[p * width..][..width];
+        stressed.sort_by(|a, b| row(a.0).cmp(row(b.0)));
+        let mut s = vec![0.0; ns.len()];
+        let mut duties = Vec::new();
+        for group in stressed.chunk_by(|a, b| row(a.0) == row(b.0)) {
+            duties.clear();
+            duties.extend(group.iter().map(|&(_, duty)| duty));
+            let grid = s_n_grid(&duties, row(group[0].0));
+            for (&(p, _), values) in group.iter().zip(grid.chunks(width)) {
+                s[p * width..][..width].copy_from_slice(values);
             }
         }
 
         let mut out = Vec::with_capacity(s.len());
         for (p, ((schedule, _), cycle)) in points.iter().zip(&cycles).enumerate() {
             let kv = self.kv(schedule.temp_active());
-            for (j, &t) in times.iter().enumerate() {
-                valid(t)?;
-                let base = if t.0 == 0.0 {
-                    0.0
-                } else {
+            for (j, &t) in times(p).iter().enumerate() {
+                let base = || {
+                    valid(t)?;
+                    if t.0 == 0.0 {
+                        return Ok(0.0);
+                    }
                     let eq = cycle.as_ref().map_err(Clone::clone)?;
                     if eq.stress.duty_cycle() == 0.0 {
-                        0.0
-                    } else {
-                        let trap_factor = s[p * times.len() + j] * eq.stress.period().0.powf(0.25);
-                        check_finite("delta_vth", kv * trap_factor)?
+                        return Ok(0.0);
                     }
+                    let trap_factor = s[p * width + j] * eq.stress.period().0.powf(0.25);
+                    check_finite("delta_vth", kv * trap_factor)
                 };
-                out.push(HoistedStress {
+                out.push(base().map(|base| HoistedStress {
                     base,
                     vdd: params.vdd.0,
                     od_nom: params.overdrive(),
                     field_scale: params.field_scale.0,
-                });
+                }));
             }
         }
-        Ok(out)
+        out
     }
 }
 

@@ -261,7 +261,7 @@ impl NbtiModel {
         stress: &PmosStress,
         vth0: Volts,
     ) -> Result<f64, ModelError> {
-        check_range("vth0", vth0.0, 0.0, self.params.vdd.0 - 1e-6, "[0, vdd)")?;
+        check_vth0(vth0, self.params.vdd)?;
         let base = self.delta_vth(total_time, schedule, stress)?;
         let overdrive = self.params.vdd.0 - vth0.0;
         // eq. 23: sqrt(V_gs − V_th) prefactor times the exp(E_ox/E_0)
@@ -270,6 +270,13 @@ impl NbtiModel {
             * ((overdrive - self.params.overdrive()) / self.params.field_scale.0).exp();
         check_finite("delta_vth", base * scale)
     }
+}
+
+/// The initial-threshold check of every `vth0` entry point: `vth0` must lie
+/// in `[0, vdd)`.
+pub(crate) fn check_vth0(vth0: Volts, vdd: Volts) -> Result<(), ModelError> {
+    check_range("vth0", vth0.0, 0.0, vdd.0 - 1e-6, "[0, vdd)")?;
+    Ok(())
 }
 
 #[cfg(test)]

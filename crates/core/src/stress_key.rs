@@ -22,8 +22,8 @@
 //!   resolution of any report.
 
 use crate::equivalent::{ModeSchedule, PmosStress, Ras};
-use crate::error::ModelError;
-use crate::model::NbtiModel;
+use crate::error::{check_finite, ModelError};
+use crate::model::{check_vth0, NbtiModel};
 use crate::units::{Seconds, Volts};
 
 /// Probability quantum: 1e-9 (keys store `round(p * 1e9)`).
@@ -161,6 +161,59 @@ impl StressKey {
     /// Returns [`ModelError`] when the dequantized point is degenerate
     /// (e.g. both mode times quantized to zero).
     pub fn evaluate(&self, model: &NbtiModel) -> Result<f64, ModelError> {
+        let (schedule, stress, lifetime) = self.dequantize()?;
+        match self.vth0() {
+            None => model.delta_vth(lifetime, &schedule, &stress),
+            Some(vth0) => model.delta_vth_with_vth0(lifetime, &schedule, &stress, vth0),
+        }
+    }
+
+    /// [`StressKey::evaluate`] over a batch: element `i` equals
+    /// `keys[i].evaluate(model)` bit for bit.
+    ///
+    /// Each key is dequantized once, and every key is hoisted through the
+    /// engine behind [`NbtiModel::hoist_grid`], so keys with equal cycle
+    /// counts (every key of one flow call shares its schedule and
+    /// lifetime) step their trap-factor recursions in shared lanes. A key
+    /// with an explicit threshold scales its hoisted shift with
+    /// [`crate::HoistedStress::delta_vth_at`] after the scalar threshold
+    /// check.
+    ///
+    /// # Errors
+    ///
+    /// The first error a key-by-key [`StressKey::evaluate`] loop would
+    /// return.
+    pub fn evaluate_many(keys: &[StressKey], model: &NbtiModel) -> Result<Vec<f64>, ModelError> {
+        let mut points = Vec::with_capacity(keys.len());
+        let mut lifetimes = Vec::with_capacity(keys.len());
+        // Each key's index into `points`, or its error from before hoisting.
+        let slots: Vec<Result<usize, ModelError>> = keys
+            .iter()
+            .map(|key| {
+                let (schedule, stress, lifetime) = key.dequantize()?;
+                if let Some(vth0) = key.vth0() {
+                    check_vth0(vth0, model.params().vdd)?;
+                }
+                points.push((schedule, stress));
+                lifetimes.push(lifetime);
+                Ok(points.len() - 1)
+            })
+            .collect();
+        let hoisted = model.hoist_rows(&points, 1, |p| &lifetimes[p..=p]);
+        keys.iter()
+            .zip(slots)
+            .map(|(key, slot)| {
+                let h = hoisted[slot?].as_ref().map_err(Clone::clone)?;
+                match key.vth0() {
+                    None => Ok(h.base()),
+                    Some(vth0) => check_finite("delta_vth", h.delta_vth_at(vth0.0)),
+                }
+            })
+            .collect()
+    }
+
+    /// The canonical (schedule, stress, lifetime) point of the key.
+    fn dequantize(&self) -> Result<(ModeSchedule, PmosStress, Seconds), ModelError> {
         let t_active = self.t_active_ms as f64 / TIME_SCALE;
         let t_standby = self.t_standby_ms as f64 / TIME_SCALE;
         let schedule = ModeSchedule::new(
@@ -173,17 +226,17 @@ impl StressKey {
             (self.p_active as f64 / PROB_SCALE).min(1.0),
             (self.p_standby as f64 / PROB_SCALE).min(1.0),
         )?;
-        let lifetime = Seconds(self.lifetime_ms as f64 / TIME_SCALE);
-        if self.vth0_nv == VTH_NOMINAL {
-            model.delta_vth(lifetime, &schedule, &stress)
-        } else {
-            model.delta_vth_with_vth0(
-                lifetime,
-                &schedule,
-                &stress,
-                Volts(self.vth0_nv as f64 / VTH_SCALE),
-            )
-        }
+        Ok((
+            schedule,
+            stress,
+            Seconds(self.lifetime_ms as f64 / TIME_SCALE),
+        ))
+    }
+
+    /// The explicit initial threshold, if the key carries one.
+    fn vth0(&self) -> Option<Volts> {
+        self.has_vth0()
+            .then(|| Volts(self.vth0_nv as f64 / VTH_SCALE))
     }
 }
 

@@ -8,7 +8,7 @@ use relia_core::rd::recovery_fraction;
 use relia_core::units::{ElectronVolts, Kelvin, Seconds, Volts};
 use relia_core::{
     DelayDegradation, EquivalentCycle, ModeSchedule, NbtiModel, NbtiParams, PmosStress, Ras,
-    VthDistribution,
+    StressKey, VthDistribution,
 };
 
 /// Duty cycles for the grid parity tests: the interior plus the edges
@@ -70,6 +70,34 @@ fn hoist_pointwise(
         .iter()
         .flat_map(|(schedule, stress)| times.iter().map(|&t| model.hoist(t, schedule, stress)))
         .collect()
+}
+
+/// A stress key of [`stress_point`] at a zero, fixed or random lifetime,
+/// with the nominal threshold or an explicit one (from `vth0`).
+fn stress_key(vth0: impl Strategy<Value = f64> + 'static) -> impl Strategy<Value = StressKey> {
+    (
+        stress_point(),
+        prop_oneof![Just(0.0), Just(1.0e8), 1.0f64..3.2e8],
+        prop_oneof![Just(None), vth0.prop_map(Some)],
+    )
+        .prop_map(|((schedule, stress), lifetime, vth0)| match vth0 {
+            None => StressKey::quantize(&schedule, &stress, Seconds(lifetime)),
+            Some(v) => {
+                StressKey::quantize_with_vth0(&schedule, &stress, Seconds(lifetime), Volts(v))
+            }
+        })
+}
+
+/// A key whose mode times both quantize to 0 ms, which cannot evaluate.
+fn degenerate_key() -> StressKey {
+    let schedule = ModeSchedule::new(
+        Ras::new(1.0, 9.0).unwrap(),
+        Seconds(1e-4),
+        Kelvin(400.0),
+        Kelvin(330.0),
+    )
+    .unwrap();
+    StressKey::quantize(&schedule, &PmosStress::worst_case(), Seconds(1.0e8))
 }
 
 proptest! {
@@ -311,5 +339,47 @@ proptest! {
         let grid = model.hoist_grid(&points, &times).unwrap_err();
         let pointwise = hoist_pointwise(&model, &points, &times).unwrap_err();
         prop_assert_eq!(format!("{grid:?}"), format!("{pointwise:?}"));
+    }
+
+    /// `evaluate_many` is `evaluate` at every key, bit for bit: nominal
+    /// and explicit thresholds, zero duty and zero lifetime, mixed
+    /// schedules and lifetimes, repeated keys, lengths 0 to 19.
+    #[test]
+    fn evaluate_many_equals_evaluate_bit_for_bit(
+        keys in prop::collection::vec(stress_key(0.1f64..0.5), 0..20),
+        repeats in prop::collection::vec((0usize..20, 0usize..20), 0..4),
+    ) {
+        let mut keys = keys;
+        for (from, to) in repeats {
+            if !keys.is_empty() {
+                let from = keys[from % keys.len()];
+                let len = keys.len();
+                keys[to % len] = from;
+            }
+        }
+        let model = NbtiModel::ptm90().unwrap();
+        let many = StressKey::evaluate_many(&keys, &model).unwrap();
+        prop_assert_eq!(many.len(), keys.len());
+        for (key, got) in keys.iter().zip(&many) {
+            let want = key.evaluate(&model).unwrap();
+            prop_assert_eq!(got.to_bits(), want.to_bits(), "{:?}: {} vs {}", key, got, want);
+        }
+    }
+
+    /// A degenerate key or an out-of-range threshold anywhere in a batch
+    /// fails `evaluate_many` with the error the key-by-key loop meets
+    /// first.
+    #[test]
+    fn evaluate_many_fails_like_evaluate(
+        keys in prop::collection::vec(stress_key(0.0f64..1.5), 0..19),
+        at in 0usize..19,
+    ) {
+        let mut keys = keys;
+        keys.insert(at % (keys.len() + 1), degenerate_key());
+        let model = NbtiModel::ptm90().unwrap();
+        let each: Result<Vec<f64>, _> = keys.iter().map(|k| k.evaluate(&model)).collect();
+        let many = StressKey::evaluate_many(&keys, &model);
+        prop_assert!(each.is_err());
+        prop_assert_eq!(many, each);
     }
 }

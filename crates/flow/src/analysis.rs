@@ -2,7 +2,7 @@
 //! leakage.
 
 use relia_cells::Vector;
-use relia_core::{CancelToken, PmosStress};
+use relia_core::{CancelToken, HoistedStress, ModelError, PmosStress, StressKey};
 use relia_leakage::{circuit_leakage, expected_circuit_leakage, LeakageTable};
 use relia_netlist::Circuit;
 use relia_sim::{logic, prob, SignalProbs};
@@ -14,6 +14,20 @@ use crate::cache::NoCache;
 use crate::config::{FlowConfig, SpEstimator};
 use crate::error::FlowError;
 use crate::policy::StandbyPolicy;
+
+/// PMOS devices the ΔV_th loops evaluate per batch: enough to fill the
+/// model's recursion lanes many times over, few enough that a sweep's peak
+/// memory stays flat.
+const CHUNK_PMOS: usize = 256;
+
+/// The standby stress probability of a PMOS whose stress is a flag.
+fn flag_prob(stressed: bool) -> f64 {
+    if stressed {
+        1.0
+    } else {
+        0.0
+    }
+}
 
 /// The schedule-independent half of an aging analysis: signal
 /// probabilities, per-PMOS active-mode stress duty cycles, and the leakage
@@ -138,6 +152,11 @@ impl<'a> AgingAnalysis<'a> {
     /// Per-gate worst-case PMOS ΔV_th after an explicit operating time
     /// (used by time sweeps and the variation study).
     ///
+    /// The PMOS devices are evaluated in chunks of a few hundred through
+    /// [`relia_core::NbtiModel::hoist_grid`], so their trap-factor
+    /// recursions share lanes; every value is bit-identical to a
+    /// device-by-device [`relia_core::NbtiModel::delta_vth`] loop.
+    ///
     /// # Errors
     ///
     /// Returns [`FlowError`] for a malformed standby vector.
@@ -147,22 +166,9 @@ impl<'a> AgingAnalysis<'a> {
         lifetime: relia_core::Seconds,
     ) -> Result<Vec<f64>, FlowError> {
         let standby_flags = self.standby_stress_flags(policy)?;
-        let mut out = Vec::with_capacity(self.circuit.gates().len());
-        for (gi, active) in self.prep.active_stress.iter().enumerate() {
-            let standby = &standby_flags[gi];
-            let mut worst: f64 = 0.0;
-            for (pi, &p_active) in active.iter().enumerate() {
-                let p_standby = if standby[pi] { 1.0 } else { 0.0 };
-                let stress = PmosStress::new(p_active, p_standby)?;
-                let dv = self
-                    .config
-                    .nbti
-                    .delta_vth(lifetime, &self.config.schedule, &stress)?;
-                worst = worst.max(dv);
-            }
-            out.push(worst);
-        }
-        Ok(out)
+        self.worst_delta_vth(&standby_flags, flag_prob, &CancelToken::new(), |stresses| {
+            self.direct_delta_vth(stresses, lifetime)
+        })
     }
 
     /// Like [`AgingAnalysis::gate_delta_vth_at`], but consulting a
@@ -194,6 +200,11 @@ impl<'a> AgingAnalysis<'a> {
     /// results are discarded, so cancellation can never leak a truncated
     /// ΔV_th vector into a report.
     ///
+    /// The keys go to [`DeltaVthCache::delta_vth_many`] in chunks of a few
+    /// hundred PMOS devices, so a cache can batch its misses. The token is
+    /// polled at every gate while a chunk is collected; a chunk already
+    /// handed to the cache runs to its end.
+    ///
     /// # Errors
     ///
     /// Returns [`FlowError::Cancelled`] once `cancel` is set, or the usual
@@ -206,23 +217,13 @@ impl<'a> AgingAnalysis<'a> {
         cancel: &CancelToken,
     ) -> Result<Vec<f64>, FlowError> {
         let standby_flags = self.standby_stress_flags(policy)?;
-        let mut out = Vec::with_capacity(self.circuit.gates().len());
-        for (gi, active) in self.prep.active_stress.iter().enumerate() {
-            if cancel.is_cancelled() {
-                return Err(FlowError::Cancelled);
-            }
-            let standby = &standby_flags[gi];
-            let mut worst: f64 = 0.0;
-            for (pi, &p_active) in active.iter().enumerate() {
-                let p_standby = if standby[pi] { 1.0 } else { 0.0 };
-                let stress = PmosStress::new(p_active, p_standby)?;
-                let key = self.config.stress_key(&stress, lifetime);
-                let dv = cache.delta_vth(key, &self.config.nbti)?;
-                worst = worst.max(dv);
-            }
-            out.push(worst);
-        }
-        Ok(out)
+        self.worst_delta_vth(&standby_flags, flag_prob, cancel, |stresses| {
+            let keys: Vec<StressKey> = stresses
+                .iter()
+                .map(|stress| self.config.stress_key(stress, lifetime))
+                .collect();
+            cache.delta_vth_many(&keys, &self.config.nbti)
+        })
     }
 
     /// Per-gate worst-case PMOS ΔV_th when each PMOS has a *fractional*
@@ -231,10 +232,14 @@ impl<'a> AgingAnalysis<'a> {
     /// `standby_probs[g][p]` is the probability that PMOS `p` of gate `g`
     /// is stressed during standby.
     ///
+    /// Evaluated in chunks like [`AgingAnalysis::gate_delta_vth_at`], and
+    /// bit-identical to a device-by-device loop.
+    ///
     /// # Errors
     ///
     /// Returns [`FlowError::GateVectorWidth`] for a malformed probability
-    /// array, or model errors for probabilities outside `[0, 1]`.
+    /// array, or model errors for probabilities outside `[0, 1]`. Either
+    /// is the first error a device-by-device loop would meet.
     pub fn gate_delta_vth_with_standby_probs(
         &self,
         standby_probs: &[Vec<f64>],
@@ -245,27 +250,82 @@ impl<'a> AgingAnalysis<'a> {
                 got: standby_probs.len(),
             });
         }
-        let mut out = Vec::with_capacity(self.circuit.gates().len());
-        for (gi, active) in self.prep.active_stress.iter().enumerate() {
-            if standby_probs[gi].len() != active.len() {
-                return Err(FlowError::GateVectorWidth {
+        self.worst_delta_vth(
+            standby_probs,
+            |p| p,
+            &CancelToken::new(),
+            |stresses| self.direct_delta_vth(stresses, self.config.lifetime),
+        )
+    }
+
+    /// The worst PMOS ΔV_th of every gate, where PMOS `p` of gate `g` is
+    /// stressed in standby with probability `p_standby(standby[g][p])`.
+    ///
+    /// The loop collects [`PmosStress`]es gate by gate, hands them to
+    /// `eval` [`CHUNK_PMOS`] at a time, and reduces each gate in device
+    /// order. It polls `cancel` at every gate. An invalid stress or row
+    /// width at some gate is returned only after the devices before it
+    /// have been evaluated, so the error is the one a device-by-device
+    /// loop would return first.
+    fn worst_delta_vth<T: Copy>(
+        &self,
+        standby: &[Vec<T>],
+        p_standby: impl Fn(T) -> f64,
+        cancel: &CancelToken,
+        mut eval: impl FnMut(&[PmosStress]) -> Result<Vec<f64>, ModelError>,
+    ) -> Result<Vec<f64>, FlowError> {
+        let gates = self.prep.active_stress.len();
+        let mut out = Vec::with_capacity(gates);
+        let mut chunk = Vec::with_capacity(CHUNK_PMOS);
+        // PMOS count of each whole gate in `chunk`.
+        let mut widths = Vec::new();
+        for (g, (active, row)) in self.prep.active_stress.iter().zip(standby).enumerate() {
+            if cancel.is_cancelled() {
+                return Err(FlowError::Cancelled);
+            }
+            let gate = if row.len() == active.len() {
+                active.iter().zip(row).try_for_each(|(&p_active, &s)| {
+                    chunk.push(PmosStress::new(p_active, p_standby(s))?);
+                    Ok(())
+                })
+            } else {
+                Err(FlowError::GateVectorWidth {
                     expected: active.len(),
-                    got: standby_probs[gi].len(),
-                });
+                    got: row.len(),
+                })
+            };
+            if gate.is_ok() {
+                widths.push(active.len());
             }
-            let mut worst: f64 = 0.0;
-            for (pi, &p_active) in active.iter().enumerate() {
-                let stress = PmosStress::new(p_active, standby_probs[gi][pi])?;
-                let dv = self.config.nbti.delta_vth(
-                    self.config.lifetime,
-                    &self.config.schedule,
-                    &stress,
-                )?;
-                worst = worst.max(dv);
+            // Evaluate a full chunk, the last one, or the devices before an
+            // error.
+            if gate.is_err() || chunk.len() >= CHUNK_PMOS || g + 1 == gates {
+                let mut dv = eval(&chunk)?.into_iter();
+                out.extend(
+                    widths
+                        .drain(..)
+                        .map(|width| dv.by_ref().take(width).fold(0.0, f64::max)),
+                );
+                chunk.clear();
             }
-            out.push(worst);
+            gate?;
         }
         Ok(out)
+    }
+
+    /// Uncached ΔV_th of each stress under this config's schedule, bit for
+    /// bit [`relia_core::NbtiModel::delta_vth`].
+    fn direct_delta_vth(
+        &self,
+        stresses: &[PmosStress],
+        lifetime: relia_core::Seconds,
+    ) -> Result<Vec<f64>, ModelError> {
+        let points: Vec<_> = stresses
+            .iter()
+            .map(|&stress| (self.config.schedule, stress))
+            .collect();
+        let hoisted = self.config.nbti.hoist_grid(&points, &[lifetime])?;
+        Ok(hoisted.iter().map(HoistedStress::base).collect())
     }
 
     /// Standby stress flags (one `bool` per PMOS, grouped per gate) for the

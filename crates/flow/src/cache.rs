@@ -12,6 +12,13 @@
 //! free when the implementation itself calls [`StressKey::evaluate`] on a
 //! miss and stores the result, because the evaluation is a pure function of
 //! the key.
+//!
+//! The analysis loop asks for a chunk of keys at a time through
+//! [`DeltaVthCache::delta_vth_many`]. Its contract is the scalar loop's:
+//! element `i` equals `delta_vth(keys[i], model)`, and the error is the
+//! first one the key-by-key loop would return. An implementation may
+//! batch its misses through [`StressKey::evaluate_many`], but it must
+//! never admit an error (or a non-finite value) into its memo table.
 
 use relia_core::{ModelError, NbtiModel, StressKey};
 
@@ -24,6 +31,19 @@ pub trait DeltaVthCache {
     /// Returns [`ModelError`] when the canonical evaluation fails (the
     /// cache must not memoize errors as successes).
     fn delta_vth(&self, key: StressKey, model: &NbtiModel) -> Result<f64, ModelError>;
+
+    /// [`DeltaVthCache::delta_vth`] over a batch of keys, in order.
+    ///
+    /// # Errors
+    ///
+    /// The first error the key-by-key loop would return.
+    fn delta_vth_many(
+        &self,
+        keys: &[StressKey],
+        model: &NbtiModel,
+    ) -> Result<Vec<f64>, ModelError> {
+        keys.iter().map(|&key| self.delta_vth(key, model)).collect()
+    }
 }
 
 /// The trivial cache: always evaluates.
@@ -37,11 +57,27 @@ impl DeltaVthCache for NoCache {
     fn delta_vth(&self, key: StressKey, model: &NbtiModel) -> Result<f64, ModelError> {
         key.evaluate(model)
     }
+
+    fn delta_vth_many(
+        &self,
+        keys: &[StressKey],
+        model: &NbtiModel,
+    ) -> Result<Vec<f64>, ModelError> {
+        StressKey::evaluate_many(keys, model)
+    }
 }
 
 impl<C: DeltaVthCache + ?Sized> DeltaVthCache for &C {
     fn delta_vth(&self, key: StressKey, model: &NbtiModel) -> Result<f64, ModelError> {
         (**self).delta_vth(key, model)
+    }
+
+    fn delta_vth_many(
+        &self,
+        keys: &[StressKey],
+        model: &NbtiModel,
+    ) -> Result<Vec<f64>, ModelError> {
+        (**self).delta_vth_many(keys, model)
     }
 }
 

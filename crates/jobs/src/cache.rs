@@ -188,8 +188,24 @@ impl ShardedCache {
     }
 }
 
-impl DeltaVthCache for ShardedCache {
-    fn delta_vth(&self, key: StressKey, model: &NbtiModel) -> Result<f64, ModelError> {
+impl ShardedCache {
+    /// The memoized ΔV_th for `key`, read without touching its LRU tick.
+    fn read(&self, key: &StressKey) -> Option<f64> {
+        let shard = self
+            .shard(key)
+            .lock()
+            // relia-lint: allow(unwrap-in-lib)
+            .expect("cache shard poisoned");
+        shard.map.get(key).map(|&(value, _)| value)
+    }
+
+    /// One counted lookup: a hit answers from the table; a miss runs
+    /// `eval` and admits its value.
+    fn lookup(
+        &self,
+        key: StressKey,
+        eval: impl FnOnce() -> Result<f64, ModelError>,
+    ) -> Result<f64, ModelError> {
         {
             let mut shard = self
                 .shard(&key)
@@ -208,9 +224,54 @@ impl DeltaVthCache for ShardedCache {
         // Evaluate outside the lock: a racing thread computes the identical
         // value (evaluation is a pure function of the key), so double
         // insertion is harmless and lock hold times stay tiny.
-        let v = key.evaluate(model)?;
+        let v = eval()?;
         self.misses.fetch_add(1, Ordering::Relaxed);
         self.insert_checked(key, v)
+    }
+}
+
+impl DeltaVthCache for ShardedCache {
+    fn delta_vth(&self, key: StressKey, model: &NbtiModel) -> Result<f64, ModelError> {
+        self.lookup(key, || key.evaluate(model))
+    }
+
+    /// Reads every key, evaluates the distinct absent ones in one
+    /// [`StressKey::evaluate_many`] call, then replays the key-by-key
+    /// lookups with every value in hand. The counters, LRU ticks,
+    /// evictions and admitted entries therefore come out as the scalar
+    /// loop leaves them: one miss per absent key, a hit for every other
+    /// lookup. A batch that fails replays through the scalar loop, so its
+    /// error is the scalar loop's too.
+    fn delta_vth_many(
+        &self,
+        keys: &[StressKey],
+        model: &NbtiModel,
+    ) -> Result<Vec<f64>, ModelError> {
+        let mut values = Vec::with_capacity(keys.len());
+        let mut misses = Vec::new();
+        let mut first_miss = HashMap::new();
+        // (position in `values`, index into `misses`) of every absent key.
+        let mut absent = Vec::new();
+        for (i, key) in keys.iter().enumerate() {
+            values.push(self.read(key).unwrap_or_else(|| {
+                let m = *first_miss.entry(*key).or_insert_with(|| {
+                    misses.push(*key);
+                    misses.len() - 1
+                });
+                absent.push((i, m));
+                0.0
+            }));
+        }
+        let Ok(evaluated) = StressKey::evaluate_many(&misses, model) else {
+            return keys.iter().map(|&key| self.delta_vth(key, model)).collect();
+        };
+        for (i, m) in absent {
+            values[i] = evaluated[m];
+        }
+        keys.iter()
+            .zip(values)
+            .map(|(&key, value)| self.lookup(key, || Ok(value)))
+            .collect()
     }
 }
 
@@ -393,5 +454,50 @@ mod tests {
         assert_eq!(stats.hits + stats.misses, 50 * 50);
         assert!(stats.misses >= 50);
         assert!(stats.misses <= 8 * 50, "misses={}", stats.misses);
+    }
+
+    #[test]
+    fn a_batch_counts_and_answers_like_the_key_by_key_loop() {
+        let model = NbtiModel::ptm90().unwrap();
+        let keys = [key(0.1), key(0.2), key(0.1), key(0.3), key(0.2)];
+        let batched = ShardedCache::default();
+        let scalar = ShardedCache::default();
+        for _ in ["cold", "warm"] {
+            let many = batched.delta_vth_many(&keys, &model).unwrap();
+            for (k, v) in keys.iter().zip(many) {
+                let want = scalar.delta_vth(*k, &model).unwrap();
+                assert_eq!(v.to_bits(), want.to_bits());
+                assert_eq!(v.to_bits(), k.evaluate(&model).unwrap().to_bits());
+            }
+            assert_eq!(batched.stats(), scalar.stats());
+        }
+        let stats = batched.stats();
+        assert_eq!((stats.hits, stats.misses, stats.entries), (7, 3, 3));
+    }
+
+    #[test]
+    fn a_failing_batch_errs_counts_and_admits_like_the_key_by_key_loop() {
+        let model = NbtiModel::ptm90().unwrap();
+        // Both mode times quantize to 0 ms: this key cannot evaluate.
+        let schedule = ModeSchedule::new(
+            Ras::new(1.0, 9.0).unwrap(),
+            Seconds(1e-4),
+            Kelvin(400.0),
+            Kelvin(330.0),
+        )
+        .unwrap();
+        let bad = StressKey::quantize(&schedule, &PmosStress::worst_case(), Seconds(1.0e8));
+        let keys = [key(0.1), key(0.2), key(0.1), bad, key(0.3)];
+        let batched = ShardedCache::default();
+        let scalar = ShardedCache::default();
+        let many = batched.delta_vth_many(&keys, &model).unwrap_err();
+        let each = keys
+            .iter()
+            .map(|k| scalar.delta_vth(*k, &model))
+            .collect::<Result<Vec<f64>, _>>()
+            .unwrap_err();
+        assert_eq!(format!("{many:?}"), format!("{each:?}"));
+        assert_eq!(batched.stats(), scalar.stats());
+        assert_eq!(batched.peek(&key(0.3)), None, "nothing past the error");
     }
 }

@@ -93,6 +93,19 @@ echo "==> relia serve (chaos: seeded socket faults, overload, drain)"
 cargo run -q --offline --release -p relia-serve --features fault-inject \
     --example chaos -- --seed 7 --conns 48 --threads 4
 
+echo "==> relia sweep (1 vs 2 workers, byte-identical table)"
+# The table includes the FAILED rows of c3540, so the comparison pins
+# their error text across worker counts too.
+sweep_one="$(mktemp)"
+sweep_two="$(mktemp)"
+target/release/relia sweep builtin:c432 builtin:c3540 --jobs 1 >"$sweep_one" 2>/dev/null
+target/release/relia sweep builtin:c432 builtin:c3540 --jobs 2 >"$sweep_two" 2>/dev/null
+cmp "$sweep_one" "$sweep_two" || {
+    echo "sweep: output differs between 1 and 2 workers" >&2
+    exit 1
+}
+rm -f "$sweep_one" "$sweep_two"
+
 echo "==> relia fleet (10k smoke, percentile sanity, resume)"
 # One 10k-sample run through the release CLI, a sanity pass over the
 # printed table (every statistic finite, p50 <= p90 <= p99 per row), then
