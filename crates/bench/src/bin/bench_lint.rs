@@ -150,7 +150,7 @@ fn measure() -> Record {
     let (files, lines) = corpus();
     assert!(lines > 0, "fixture corpus is empty");
 
-    // Lexing alone: the floor every incremental run pays per changed file.
+    // Lexing alone: the floor every run pays per file.
     let lex_ns = median(
         (0..REPS)
             .map(|_| {

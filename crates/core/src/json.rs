@@ -1,8 +1,10 @@
-//! A minimal, std-only JSON reader/writer for the service's wire format.
+//! A minimal, std-only JSON reader/writer: the one JSON codec of the
+//! workspace, behind the service's wire format, the sweep checkpoint's
+//! records and the linter's reports.
 //!
-//! The service's schemas are small and fully known, so this module
-//! implements exactly the JSON subset they need: UTF-8 text, objects,
-//! arrays, strings with the standard escapes, finite numbers, booleans and
+//! The schemas are small and fully known, so this module implements
+//! exactly the JSON subset they need: UTF-8 text, objects, arrays,
+//! strings with the standard escapes, finite numbers, booleans and
 //! `null`. Parsing is recursive-descent with a hard depth bound, so hostile
 //! bodies cannot blow the stack.
 //!
@@ -38,6 +40,7 @@ pub enum Json {
 
 impl Json {
     /// Member `name` of an object (first match).
+    #[inline]
     pub fn get(&self, name: &str) -> Option<&Json> {
         match self {
             Json::Obj(members) => members.iter().find(|(k, _)| k == name).map(|(_, v)| v),
@@ -46,6 +49,7 @@ impl Json {
     }
 
     /// The numeric value, if this is a number.
+    #[inline]
     pub fn as_f64(&self) -> Option<f64> {
         match self {
             Json::Num(v) => Some(*v),
@@ -54,6 +58,7 @@ impl Json {
     }
 
     /// The string value, if this is a string.
+    #[inline]
     pub fn as_str(&self) -> Option<&str> {
         match self {
             Json::Str(s) => Some(s),
@@ -62,6 +67,7 @@ impl Json {
     }
 
     /// The elements, if this is an array.
+    #[inline]
     pub fn as_arr(&self) -> Option<&[Json]> {
         match self {
             Json::Arr(items) => Some(items),

@@ -33,6 +33,8 @@
 //!   abandon straggling evaluations at safe boundaries.
 //! * [`variation`] — process-variation hooks (gate-overdrive dependence of the
 //!   degradation rate).
+//! * [`seal`] and [`json`] — the byte substrate shared by every file and
+//!   wire format: CRC-32, FNV-1a, atomic writes and the JSON codec.
 //!
 //! ## Quick example
 //!
@@ -66,10 +68,12 @@ pub mod consts;
 pub mod degradation;
 pub mod equivalent;
 pub mod error;
+pub mod json;
 pub mod model;
 pub mod params;
 pub mod rd;
 pub mod rd_numeric;
+pub mod seal;
 pub mod stress_key;
 pub mod units;
 pub mod variation;

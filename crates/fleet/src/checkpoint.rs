@@ -11,30 +11,20 @@
 //! The header binds the file to a `(spec, chunk size)` fingerprint; a
 //! mismatch rejects the whole file. Individual chunk lines that fail their
 //! CRC or parse (a torn write from a crash) are *skipped*, salvaging every
-//! intact record — the engine simply recomputes the lost chunks.
+//! intact record — the engine simply recomputes the lost chunks. A resumed
+//! writer starts its first record on a fresh line, so a torn tail never
+//! swallows the record appended after it.
 
 use crate::accum::ChunkAccum;
 use crate::error::FleetError;
+use relia_core::seal::{crc32, write_atomic};
 use std::collections::BTreeMap;
 use std::fs::{File, OpenOptions};
-use std::io::{BufRead, BufReader, Write};
+use std::io::{BufRead, BufReader, Read, Seek, SeekFrom, Write};
 use std::path::Path;
 
 const HEADER_TAG: &str = "relia-fleet-checkpoint";
 const HEADER_VERSION: &str = "v1";
-
-/// CRC-32 (IEEE 802.3, reflected) over the raw bytes.
-pub fn crc32(bytes: &[u8]) -> u32 {
-    let mut crc = 0xFFFF_FFFF_u32;
-    for &b in bytes {
-        crc ^= u32::from(b);
-        for _ in 0..8 {
-            let mask = (crc & 1).wrapping_neg();
-            crc = (crc >> 1) ^ (0xEDB8_8320 & mask);
-        }
-    }
-    !crc
-}
 
 fn chunk_payload(index: usize, words: &[u64]) -> String {
     use std::fmt::Write as _;
@@ -52,26 +42,40 @@ pub struct CheckpointWriter {
 }
 
 impl CheckpointWriter {
-    /// Creates (or truncates) the checkpoint at `path` and writes the
-    /// header binding it to `fingerprint`.
+    /// Replaces the checkpoint at `path`, atomically, with a header binding
+    /// it to `fingerprint`, and opens it for appending.
     ///
     /// # Errors
     ///
     /// Returns [`FleetError::Io`] on any filesystem failure.
     pub fn create(path: &Path, fingerprint: u64) -> Result<Self, FleetError> {
-        let mut file = File::create(path).map_err(io_err)?;
-        writeln!(file, "{HEADER_TAG} {HEADER_VERSION} {fingerprint:016x}").map_err(io_err)?;
-        file.flush().map_err(io_err)?;
-        Ok(CheckpointWriter { file })
+        let header = format!("{HEADER_TAG} {HEADER_VERSION} {fingerprint:016x}\n");
+        write_atomic(path, header.as_bytes()).map_err(io_err)?;
+        CheckpointWriter::append(path)
     }
 
     /// Reopens an existing checkpoint for appending (after a salvage load).
+    /// When a crash left the file without a final newline, one is written
+    /// first, so the next record does not join the torn line.
     ///
     /// # Errors
     ///
     /// Returns [`FleetError::Io`] on any filesystem failure.
     pub fn append(path: &Path) -> Result<Self, FleetError> {
-        let file = OpenOptions::new().append(true).open(path).map_err(io_err)?;
+        let mut file = OpenOptions::new()
+            .read(true)
+            .append(true)
+            .open(path)
+            .map_err(io_err)?;
+        let len = file.metadata().map_err(io_err)?.len();
+        if len > 0 {
+            let mut last = [0u8];
+            file.seek(SeekFrom::Start(len - 1)).map_err(io_err)?;
+            file.read_exact(&mut last).map_err(io_err)?;
+            if last != *b"\n" {
+                file.write_all(b"\n").map_err(io_err)?;
+            }
+        }
         Ok(CheckpointWriter { file })
     }
 
@@ -213,13 +217,6 @@ mod tests {
     }
 
     #[test]
-    fn crc32_matches_known_vector() {
-        // The classic check value for CRC-32/IEEE.
-        assert_eq!(crc32(b"123456789"), 0xCBF4_3926);
-        assert_eq!(crc32(b""), 0);
-    }
-
-    #[test]
     fn round_trip_preserves_chunks_exactly() {
         let path = tmp("roundtrip");
         let a = sample_acc(2, 1);
@@ -291,6 +288,28 @@ mod tests {
         let (chunks, skipped) = load(&path, 9, 1).expect("load");
         assert_eq!(skipped, 0);
         assert_eq!(chunks.len(), 2);
+        let _ = fs::remove_file(&path);
+    }
+
+    #[test]
+    fn a_resume_after_a_torn_tail_keeps_its_first_record() {
+        let path = tmp("torn_tail");
+        {
+            let mut w = CheckpointWriter::create(&path, 11).expect("create");
+            w.record(0, &sample_acc(1, 8)).expect("record");
+        }
+        // A crash mid-write leaves a partial line with no newline.
+        let mut f = OpenOptions::new().append(true).open(&path).expect("open");
+        f.write_all(b"chunk 1 0123").expect("torn write");
+        drop(f);
+        {
+            let mut w = CheckpointWriter::append(&path).expect("append");
+            w.record(1, &sample_acc(1, 9)).expect("record");
+        }
+        let (chunks, skipped) = load(&path, 11, 1).expect("load");
+        assert_eq!(chunks.len(), 2, "the resumed record survives");
+        assert_eq!(chunks[&1], sample_acc(1, 9));
+        assert_eq!(skipped, 1, "only the torn line is lost");
         let _ = fs::remove_file(&path);
     }
 

@@ -31,20 +31,23 @@
 //!   later append continues from a clean line boundary instead of
 //!   concatenating onto a torn one.
 //!
-//! File creation and the salvage rewrite both go through a temp-file +
-//! rename, so a crash mid-create never leaves a half-written header for
-//! the next run to trip over.
+//! File creation and the salvage rewrite both go through
+//! [`write_atomic`], so a crash mid-create never leaves a half-written
+//! header for the next run to trip over.
 //!
-//! The values are flat and self-describing, so the hand-rolled parser below
-//! only handles what the writer emits: one-level objects of strings,
-//! numbers, and `null`.
+//! The CRC and the atomic write come from [`relia_core::seal`], and lines
+//! decode with [`relia_core::json`]: a sealed line is itself a JSON object
+//! whose last field is the CRC.
 
 use std::collections::BTreeMap;
 use std::error::Error;
 use std::fmt;
 use std::fs::{self, File, OpenOptions};
 use std::io::{self, BufWriter, Write};
-use std::path::{Path, PathBuf};
+use std::path::Path;
+
+use relia_core::json::{self, Json};
+use relia_core::seal::{crc32, crc32_update, write_atomic};
 
 use crate::spec::{JobResult, JobStatus};
 
@@ -166,18 +169,18 @@ fn read_raw(path: &Path) -> Result<Option<RawCheckpoint>, CheckpointError> {
             what: "not valid UTF-8",
         })?
         .to_owned();
-    let header_body = verify_crc(&header_line).ok_or(CheckpointError::BadHeader {
+    verify_crc(&header_line).ok_or(CheckpointError::BadHeader {
         what: "crc mismatch or missing",
     })?;
-    let header = parse_object(header_body).ok_or(CheckpointError::BadHeader {
+    let header = json::parse(header_line.as_bytes()).map_err(|_| CheckpointError::BadHeader {
         what: "not a JSON object",
     })?;
-    if header.str_field("header") != Some(HEADER_NAME) {
+    if header.get("header").and_then(Json::as_str) != Some(HEADER_NAME) {
         return Err(CheckpointError::BadHeader {
             what: "not a relia sweep checkpoint",
         });
     }
-    match header.num_field("version") {
+    match num(&header, "version") {
         Some(v) if v == VERSION as f64 => {}
         Some(v) => {
             return Err(CheckpointError::UnsupportedVersion { found: v as u64 });
@@ -189,18 +192,17 @@ fn read_raw(path: &Path) -> Result<Option<RawCheckpoint>, CheckpointError> {
         }
     }
     let fingerprint = header
-        .str_field("fingerprint")
+        .get("fingerprint")
+        .and_then(Json::as_str)
         .and_then(|s| u64::from_str_radix(s, 16).ok())
         .ok_or(CheckpointError::BadHeader {
             what: "missing fingerprint",
         })?;
-    let total =
-        header
-            .num_field("total")
-            .map(|n| n as usize)
-            .ok_or(CheckpointError::BadHeader {
-                what: "missing total",
-            })?;
+    let total = num(&header, "total")
+        .map(|n| n as usize)
+        .ok_or(CheckpointError::BadHeader {
+            what: "missing total",
+        })?;
     let mut record_lines: Vec<String> = raw_lines
         .map(|l| String::from_utf8_lossy(l).into_owned())
         .collect();
@@ -219,8 +221,8 @@ fn read_raw(path: &Path) -> Result<Option<RawCheckpoint>, CheckpointError> {
 
 /// Validates one record line (CRC + parse). `None` when invalid.
 fn decode_record(line: &str) -> Option<(usize, JobStatus)> {
-    let body = verify_crc(line)?;
-    record_from(&parse_object(body)?)
+    verify_crc(line)?;
+    record_from(&json::parse(line.as_bytes()).ok()?)
 }
 
 /// Loads a checkpoint strictly, or `Ok(None)` when `path` does not exist.
@@ -294,16 +296,12 @@ pub fn salvage(path: &Path) -> Result<Option<Salvage>, CheckpointError> {
         // Rewrite the valid prefix through a temp file so a crash here
         // leaves either the old damaged file or the new clean one — never
         // a half-written hybrid.
-        let tmp = tmp_sibling(path);
-        {
-            let mut out = BufWriter::new(File::create(&tmp)?);
-            writeln!(out, "{}", raw.header_line)?;
-            for line in &raw.record_lines[..valid_lines] {
-                writeln!(out, "{line}")?;
-            }
-            out.flush()?;
+        let mut text = format!("{}\n", raw.header_line);
+        for line in &raw.record_lines[..valid_lines] {
+            text.push_str(line);
+            text.push('\n');
         }
-        fs::rename(&tmp, path)?;
+        write_atomic(path, text.as_bytes())?;
     }
     Ok(Some(Salvage {
         checkpoint: Checkpoint {
@@ -313,15 +311,6 @@ pub fn salvage(path: &Path) -> Result<Option<Salvage>, CheckpointError> {
         },
         dropped_records,
     }))
-}
-
-fn tmp_sibling(path: &Path) -> PathBuf {
-    let mut name = path.file_name().map_or_else(
-        || std::ffi::OsString::from("checkpoint"),
-        |n| n.to_os_string(),
-    );
-    name.push(".tmp");
-    path.with_file_name(name)
 }
 
 /// An open checkpoint being appended to, one flushed line per result.
@@ -343,13 +332,7 @@ impl CheckpointWriter {
             "{{\"header\":\"{HEADER_NAME}\",\"version\":{VERSION},\
              \"fingerprint\":\"{fingerprint:016x}\",\"total\":{total}}}"
         );
-        let tmp = tmp_sibling(path);
-        {
-            let mut out = BufWriter::new(File::create(&tmp)?);
-            writeln!(out, "{}", seal(&header_body))?;
-            out.flush()?;
-        }
-        fs::rename(&tmp, path)?;
+        write_atomic(path, format!("{}\n", seal(&header_body)).as_bytes())?;
         CheckpointWriter::append(path)
     }
 
@@ -418,7 +401,7 @@ fn record_body(index: usize, status: &JobStatus) -> String {
             format!(
                 "{{\"index\":{index},\"kind\":\"failed\",\"reason\":\"{}\",\
                  \"attempts\":{attempts}}}",
-                escape(reason)
+                json::escape(reason)
             )
         }
         JobStatus::TimedOut { elapsed_ms } => {
@@ -438,53 +421,25 @@ fn seal(body: &str) -> String {
     )
 }
 
-/// Checks a sealed line's CRC and returns the body (the object without the
-/// CRC field) on success.
-fn verify_crc(line: &str) -> Option<&str> {
+/// Checks a sealed line's CRC: `Some` when the stored value matches the
+/// CRC of the object without its CRC field.
+fn verify_crc(line: &str) -> Option<()> {
     let line = line.trim_end();
     let marker = ",\"crc\":\"";
     let pos = line.rfind(marker)?;
-    let hex = &line[pos + marker.len()..];
-    let hex = hex.strip_suffix("\"}")?;
+    let hex = line[pos + marker.len()..].strip_suffix("\"}")?;
     if hex.len() != 8 {
         return None;
     }
     let stored = u32::from_str_radix(hex, 16).ok()?;
-    // The body is everything before the crc field, re-closed.
-    let prefix = &line[..pos];
-    let mut crc = 0xffff_ffffu32;
-    for &b in prefix.as_bytes() {
-        crc = crc32_step(crc, b);
-    }
-    crc = crc32_step(crc, b'}');
-    if !crc == stored {
-        // The prefix is the body minus its closing brace; `parse_object`
-        // treats end-of-input as the close, so the slice parses as the
-        // original object without a copy.
-        Some(prefix)
-    } else {
-        None
-    }
-}
-
-/// CRC-32 (IEEE 802.3, reflected polynomial 0xEDB88320), one byte.
-fn crc32_step(crc: u32, byte: u8) -> u32 {
-    let mut crc = crc ^ byte as u32;
-    for _ in 0..8 {
-        let mask = (crc & 1).wrapping_neg();
-        crc = (crc >> 1) ^ (0xedb8_8320 & mask);
-    }
-    crc
-}
-
-/// CRC-32 of a whole buffer.
-fn crc32(bytes: &[u8]) -> u32 {
-    !bytes.iter().fold(0xffff_ffffu32, |c, &b| crc32_step(c, b))
+    // The body is everything before the crc field, re-closed; chaining the
+    // CRC over the brace avoids copying the prefix.
+    (crc32_update(crc32(&line.as_bytes()[..pos]), b"}") == stored).then_some(())
 }
 
 /// Shortest-round-trip float serialization; keeps non-finite values
 /// representable (JSON has no infinities, so they are quoted strings — the
-/// parser maps them back).
+/// reader maps them back).
 fn fmt_f64(v: f64) -> String {
     if v.is_finite() {
         format!("{v}")
@@ -493,179 +448,38 @@ fn fmt_f64(v: f64) -> String {
     }
 }
 
-fn escape(s: &str) -> String {
-    let mut out = String::with_capacity(s.len());
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\r' => out.push_str("\\r"),
-            '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => out.push_str(&format!("\\u{:04x}", c as u32)),
-            c => out.push(c),
-        }
-    }
-    out
-}
-
-// ---------------------------------------------------------------------------
-// A parser for exactly the JSON subset the writer emits: one flat object
-// per line, values limited to strings, numbers, and null. The object may
-// arrive without its closing brace (the CRC verifier hands back the body
-// prefix); end-of-input after a complete field counts as the close.
-// ---------------------------------------------------------------------------
-
-#[derive(Debug, Clone, PartialEq)]
-enum Value {
-    Str(String),
-    Num(f64),
-    Null,
-}
-
-#[derive(Debug, Default)]
-struct FlatObject {
-    fields: Vec<(String, Value)>,
-}
-
-impl FlatObject {
-    fn field(&self, name: &str) -> Option<&Value> {
-        self.fields.iter().find(|(k, _)| k == name).map(|(_, v)| v)
-    }
-
-    fn str_field(&self, name: &str) -> Option<&str> {
-        match self.field(name) {
-            Some(Value::Str(s)) => Some(s),
-            _ => None,
-        }
-    }
-
-    fn num_field(&self, name: &str) -> Option<f64> {
-        match self.field(name) {
-            Some(Value::Num(n)) => Some(*n),
-            // Non-finite floats round-trip as quoted strings.
-            Some(Value::Str(s)) => s.parse().ok(),
-            _ => None,
-        }
+/// A number field, including a non-finite float written as a quoted string.
+fn num(obj: &Json, name: &str) -> Option<f64> {
+    match obj.get(name)? {
+        Json::Num(n) => Some(*n),
+        Json::Str(s) => s.parse().ok(),
+        _ => None,
     }
 }
 
-fn parse_object(line: &str) -> Option<FlatObject> {
-    let mut chars = line.trim().chars().peekable();
-    if chars.next()? != '{' {
-        return None;
-    }
-    let mut obj = FlatObject::default();
-    loop {
-        skip_ws(&mut chars);
-        match chars.peek() {
-            None => break, // CRC-verified body prefix: end of input closes
-            Some('}') => {
-                chars.next();
-                break;
-            }
-            Some(',') => {
-                chars.next();
-                continue;
-            }
-            Some('"') => {
-                let key = parse_string(&mut chars)?;
-                skip_ws(&mut chars);
-                if chars.next()? != ':' {
-                    return None;
-                }
-                skip_ws(&mut chars);
-                let value = parse_value(&mut chars)?;
-                obj.fields.push((key, value));
-            }
-            _ => return None,
-        }
-    }
-    Some(obj)
-}
-
-fn skip_ws(chars: &mut std::iter::Peekable<std::str::Chars<'_>>) {
-    while chars.peek().is_some_and(|c| c.is_whitespace()) {
-        chars.next();
-    }
-}
-
-fn parse_value(chars: &mut std::iter::Peekable<std::str::Chars<'_>>) -> Option<Value> {
-    match chars.peek()? {
-        '"' => parse_string(chars).map(Value::Str),
-        'n' => {
-            for expected in "null".chars() {
-                if chars.next()? != expected {
-                    return None;
-                }
-            }
-            Some(Value::Null)
-        }
-        _ => {
-            let mut token = String::new();
-            while chars
-                .peek()
-                .is_some_and(|&c| c != ',' && c != '}' && !c.is_whitespace())
-            {
-                token.push(chars.next()?);
-            }
-            token.parse().ok().map(Value::Num)
-        }
-    }
-}
-
-fn parse_string(chars: &mut std::iter::Peekable<std::str::Chars<'_>>) -> Option<String> {
-    if chars.next()? != '"' {
-        return None;
-    }
-    let mut out = String::new();
-    loop {
-        match chars.next()? {
-            '"' => return Some(out),
-            '\\' => match chars.next()? {
-                '"' => out.push('"'),
-                '\\' => out.push('\\'),
-                'n' => out.push('\n'),
-                'r' => out.push('\r'),
-                't' => out.push('\t'),
-                'u' => {
-                    let mut code = 0u32;
-                    for _ in 0..4 {
-                        code = code * 16 + chars.next()?.to_digit(16)?;
-                    }
-                    out.push(char::from_u32(code)?);
-                }
-                _ => return None,
-            },
-            c => out.push(c),
-        }
-    }
-}
-
-fn record_from(obj: &FlatObject) -> Option<(usize, JobStatus)> {
-    let index = obj.num_field("index")? as usize;
-    let status = match obj.str_field("kind")? {
+fn record_from(obj: &Json) -> Option<(usize, JobStatus)> {
+    let index = num(obj, "index")? as usize;
+    let status = match obj.get("kind")?.as_str()? {
         "aging" => JobStatus::Completed(JobResult::Aging {
-            worst_delta_vth: obj.num_field("worst_delta_vth")?,
-            degradation: obj.num_field("degradation")?,
-            nominal_delay_ps: obj.num_field("nominal_delay_ps")?,
-            degraded_delay_ps: obj.num_field("degraded_delay_ps")?,
-            standby_leakage: match obj.field("standby_leakage")? {
-                Value::Null => None,
-                Value::Num(n) => Some(*n),
-                Value::Str(s) => Some(s.parse().ok()?),
+            worst_delta_vth: num(obj, "worst_delta_vth")?,
+            degradation: num(obj, "degradation")?,
+            nominal_delay_ps: num(obj, "nominal_delay_ps")?,
+            degraded_delay_ps: num(obj, "degraded_delay_ps")?,
+            standby_leakage: match obj.get("standby_leakage")? {
+                Json::Null => None,
+                _ => Some(num(obj, "standby_leakage")?),
             },
-            active_leakage: obj.num_field("active_leakage")?,
+            active_leakage: num(obj, "active_leakage")?,
         }),
         "model" => JobStatus::Completed(JobResult::Model {
-            delta_vth: obj.num_field("delta_vth")?,
+            delta_vth: num(obj, "delta_vth")?,
         }),
         "failed" => JobStatus::Failed {
-            reason: obj.str_field("reason")?.to_owned(),
-            attempts: obj.num_field("attempts")? as u32,
+            reason: obj.get("reason")?.as_str()?.to_owned(),
+            attempts: num(obj, "attempts")? as u32,
         },
         "timed_out" => JobStatus::TimedOut {
-            elapsed_ms: obj.num_field("elapsed_ms")? as u64,
+            elapsed_ms: num(obj, "elapsed_ms")? as u64,
         },
         _ => return None,
     };
@@ -691,13 +505,6 @@ mod tests {
             standby_leakage: Some(1.25e-6),
             active_leakage: 2.5e-6,
         })
-    }
-
-    #[test]
-    fn crc32_matches_known_vectors() {
-        // The classic IEEE 802.3 check value.
-        assert_eq!(crc32(b"123456789"), 0xcbf4_3926);
-        assert_eq!(crc32(b""), 0x0000_0000);
     }
 
     #[test]
@@ -899,7 +706,9 @@ mod tests {
         let w = CheckpointWriter::create(&path, 1, 1).unwrap();
         drop(w);
         assert!(path.exists());
-        assert!(!tmp_sibling(&path).exists());
+        let mut tmp_name = path.file_name().unwrap().to_os_string();
+        tmp_name.push(".tmp");
+        assert!(!path.with_file_name(tmp_name).exists());
         std::fs::remove_file(&path).ok();
     }
 }

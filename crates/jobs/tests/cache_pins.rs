@@ -4,6 +4,7 @@
 #![allow(clippy::unwrap_used)]
 use std::sync::Arc;
 
+use relia_core::seal::Fnv1a;
 use relia_core::units::{Kelvin, Seconds};
 use relia_flow::{AgingAnalysis, FlowConfig, StandbyPolicy};
 use relia_jobs::{
@@ -13,14 +14,11 @@ use relia_jobs::{
 
 /// FNV-1a over the little-endian bits of every value.
 fn fnv1a(values: &[f64]) -> u64 {
-    let mut h: u64 = 0xcbf2_9ce4_8422_2325;
-    for v in values {
-        for byte in v.to_bits().to_le_bytes() {
-            h ^= byte as u64;
-            h = h.wrapping_mul(0x0000_0100_0000_01b3);
-        }
+    let mut h = Fnv1a::new();
+    for &v in values {
+        h.f64(v);
     }
-    h
+    h.finish()
 }
 
 #[test]

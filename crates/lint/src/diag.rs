@@ -3,6 +3,8 @@
 
 use std::fmt;
 
+use relia_core::json::escape;
+
 /// One finding: a rule violation (or a meta problem with a pragma).
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Diagnostic {
@@ -33,11 +35,11 @@ impl Diagnostic {
     pub fn render_json(&self) -> String {
         format!(
             "{{\"file\":\"{}\",\"line\":{},\"col\":{},\"rule\":\"{}\",\"message\":\"{}\"}}",
-            escape_json(&self.file),
+            escape(&self.file),
             self.line,
             self.col,
             self.rule,
-            escape_json(&self.message)
+            escape(&self.message)
         )
     }
 }
@@ -68,8 +70,8 @@ pub fn render_sarif(diags: &[Diagnostic]) -> String {
         }
         rules.push_str(&format!(
             "{{\"id\":\"{}\",\"shortDescription\":{{\"text\":\"{}\"}}}}",
-            escape_json(id),
-            escape_json(summary)
+            escape(id),
+            escape(summary)
         ));
     }
     let mut results = String::new();
@@ -81,9 +83,9 @@ pub fn render_sarif(diags: &[Diagnostic]) -> String {
             "{{\"ruleId\":\"{}\",\"level\":\"error\",\"message\":{{\"text\":\"{}\"}},\
              \"locations\":[{{\"physicalLocation\":{{\"artifactLocation\":{{\"uri\":\"{}\"}},\
              \"region\":{{\"startLine\":{},\"startColumn\":{}}}}}}}]}}",
-            escape_json(d.rule),
-            escape_json(&d.message),
-            escape_json(&d.file),
+            escape(d.rule),
+            escape(&d.message),
+            escape(&d.file),
             d.line,
             d.col
         ));
@@ -93,23 +95,6 @@ pub fn render_sarif(diags: &[Diagnostic]) -> String {
          \"version\":\"2.1.0\",\"runs\":[{{\"tool\":{{\"driver\":{{\
          \"name\":\"relia-lint\",\"rules\":[{rules}]}}}},\"results\":[{results}]}}]}}"
     )
-}
-
-/// Escapes a string for embedding in a JSON string literal.
-fn escape_json(s: &str) -> String {
-    let mut out = String::with_capacity(s.len());
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\r' => out.push_str("\\r"),
-            '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => out.push_str(&format!("\\u{:04x}", c as u32)),
-            c => out.push(c),
-        }
-    }
-    out
 }
 
 /// Sorts diagnostics into the stable report order: file, then line, then

@@ -51,17 +51,15 @@
 //! ```
 //!
 //! Per-file analysis ([`analyze_source`]) is pure in the file's content
-//! and classification, which is what makes `--incremental` ([`cache`])
-//! and `--jobs N` (same results in discovery order, any worker count)
-//! sound. Workspace rules run in [`finish`] over every file's
-//! [`graph::FileSummary`] — recomputed on every run, cached or not.
+//! and classification, which is what makes `--jobs N` (same results in
+//! discovery order, any worker count) sound. Workspace rules run in
+//! [`finish`] over every file's [`graph::FileSummary`].
 //!
 //! The analyzer is a hand-rolled lexer plus token-stream rules — no
 //! rustc internals, no syn, no network — so it runs identically in the
 //! offline container and in CI (`relia lint`, or
 //! `cargo run -q -p relia-lint`).
 
-pub mod cache;
 pub mod diag;
 pub mod flow;
 pub mod graph;
@@ -71,7 +69,6 @@ pub mod rules;
 pub mod scope;
 pub mod walker;
 
-use std::collections::BTreeMap;
 use std::path::Path;
 
 pub use diag::Diagnostic;
@@ -176,20 +173,11 @@ pub struct WorkspaceOpts {
     /// Worker threads for per-file analysis; `<= 1` runs serially. Output
     /// is identical for every value.
     pub jobs: usize,
-    /// Skip re-analyzing files whose content hash matches the committed
-    /// `.lint-cache` manifest (their cached summaries still feed R9).
-    pub incremental: bool,
-    /// Rewrite `.lint-cache` from this run's clean files.
-    pub write_cache: bool,
 }
 
 impl Default for WorkspaceOpts {
     fn default() -> Self {
-        WorkspaceOpts {
-            jobs: 1,
-            incremental: false,
-            write_cache: false,
-        }
+        WorkspaceOpts { jobs: 1 }
     }
 }
 
@@ -204,46 +192,25 @@ pub fn lint_workspace(root: &Path) -> Result<Vec<Diagnostic>, String> {
     lint_workspace_opts(root, &WorkspaceOpts::default())
 }
 
-/// [`lint_workspace`] with explicit parallelism and incremental-cache
-/// behavior.
+/// [`lint_workspace`] with explicit parallelism.
 ///
 /// # Errors
 ///
-/// Returns an error string when the walk, a file read, the cache write,
-/// or a lint worker fails.
+/// Returns an error string when the walk, a file read, or a lint worker
+/// fails.
 pub fn lint_workspace_opts(root: &Path, opts: &WorkspaceOpts) -> Result<Vec<Diagnostic>, String> {
     let files = walker::discover(root).map_err(|e| format!("walking {}: {e}", root.display()))?;
-    let cache_path = root.join(cache::CACHE_FILE);
-    let cached = if opts.incremental {
-        cache::load(&cache_path).unwrap_or_default()
-    } else {
-        BTreeMap::new()
-    };
 
-    let analyze_one = |f: &walker::SourceFile| -> Result<(FileAnalysis, u64), String> {
+    let analyze_one = |f: &walker::SourceFile| -> Result<FileAnalysis, String> {
         let source = std::fs::read_to_string(&f.abs_path)
             .map_err(|e| format!("reading {}: {e}", f.abs_path.display()))?;
-        let hash = cache::fnv1a(source.as_bytes());
-        if let Some(entry) = cached.get(&f.rel_path) {
-            if entry.hash == hash {
-                // Cached files were clean; only their workspace inputs
-                // survive to this run.
-                return Ok((
-                    FileAnalysis {
-                        diags: Vec::new(),
-                        summary: entry.summary.clone(),
-                    },
-                    hash,
-                ));
-            }
-        }
-        Ok((analyze_source(&f.rel_path, &source, &f.opts), hash))
+        Ok(analyze_source(&f.rel_path, &source, &f.opts))
     };
 
     // `run_ordered` returns outcomes in job (= discovery) order for any
     // worker count, which keeps `--jobs N` output byte-identical to a
     // serial run.
-    let results: Vec<Result<(FileAnalysis, u64), String>> = if opts.jobs <= 1 {
+    let results: Vec<Result<FileAnalysis, String>> = if opts.jobs <= 1 {
         files.iter().map(analyze_one).collect()
     } else {
         relia_jobs::pool::run_ordered(&files, opts.jobs, |_, f| analyze_one(f))
@@ -257,31 +224,9 @@ pub fn lint_workspace_opts(root: &Path, opts: &WorkspaceOpts) -> Result<Vec<Diag
 
     let mut analyses = Vec::with_capacity(files.len());
     for (f, r) in files.iter().zip(results) {
-        let (analysis, hash) = r?;
-        analyses.push((f.rel_path.clone(), analysis, hash));
+        analyses.push((f.rel_path.clone(), r?));
     }
-
-    if opts.write_cache {
-        let entries: BTreeMap<String, cache::CacheEntry> = analyses
-            .iter()
-            .filter(|(_, a, _)| a.diags.is_empty())
-            .map(|(name, a, hash)| {
-                (
-                    name.clone(),
-                    cache::CacheEntry {
-                        hash: *hash,
-                        summary: a.summary.clone(),
-                    },
-                )
-            })
-            .collect();
-        cache::save(&cache_path, &entries)
-            .map_err(|e| format!("writing {}: {e}", cache_path.display()))?;
-    }
-
-    Ok(finish(
-        analyses.into_iter().map(|(name, a, _)| (name, a)).collect(),
-    ))
+    Ok(finish(analyses))
 }
 
 #[cfg(test)]
@@ -350,27 +295,11 @@ mod tests {
     }
 
     #[test]
-    fn parallel_and_incremental_runs_match_serial() {
+    fn parallel_runs_match_serial() {
         let root = walker::find_workspace_root(Path::new(env!("CARGO_MANIFEST_DIR")))
             .expect("workspace root");
         let serial = lint_workspace(&root).expect("serial");
-        let parallel = lint_workspace_opts(
-            &root,
-            &WorkspaceOpts {
-                jobs: 8,
-                ..WorkspaceOpts::default()
-            },
-        )
-        .expect("parallel");
+        let parallel = lint_workspace_opts(&root, &WorkspaceOpts { jobs: 8 }).expect("parallel");
         assert_eq!(serial, parallel);
-        let incremental = lint_workspace_opts(
-            &root,
-            &WorkspaceOpts {
-                incremental: true,
-                ..WorkspaceOpts::default()
-            },
-        )
-        .expect("incremental");
-        assert_eq!(serial, incremental);
     }
 }

@@ -2,7 +2,7 @@
 //!
 //! ```text
 //! relia-lint [--root PATH] [--format text|json|sarif] [--jobs N]
-//!            [--incremental] [--write-cache] [--list-rules]
+//!            [--list-rules]
 //! ```
 //!
 //! Exit codes follow the sweep CLI convention: 0 clean, 1 violations
@@ -13,8 +13,8 @@ use std::process::ExitCode;
 
 use relia_lint::{diag, lint_workspace_opts, walker, WorkspaceOpts, RULES};
 
-const USAGE: &str = "usage: relia-lint [--root PATH] [--format text|json|sarif] [--jobs N] \
-                     [--incremental] [--write-cache] [--list-rules]";
+const USAGE: &str =
+    "usage: relia-lint [--root PATH] [--format text|json|sarif] [--jobs N] [--list-rules]";
 
 enum Format {
     Text,
@@ -49,8 +49,6 @@ fn main() -> ExitCode {
                 Some(n) if n >= 1 => opts.jobs = n,
                 _ => return usage_error("--jobs needs a positive integer"),
             },
-            "--incremental" => opts.incremental = true,
-            "--write-cache" => opts.write_cache = true,
             "--list-rules" => {
                 for (i, r) in RULES.iter().enumerate() {
                     println!("R{} {} — {}", i + 1, r.id, r.summary);

@@ -14,6 +14,7 @@
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use relia_cells::Library;
+use relia_core::seal::Fnv1a;
 
 use crate::builder::CircuitBuilder;
 use crate::circuit::{Circuit, NetId};
@@ -165,12 +166,7 @@ const CELL_MIX: [(&str, u32); 12] = [
 
 fn name_seed(name: &str) -> u64 {
     // FNV-1a, so each benchmark is deterministic but distinct.
-    let mut h: u64 = 0xcbf2_9ce4_8422_2325;
-    for b in name.bytes() {
-        h ^= b as u64;
-        h = h.wrapping_mul(0x0000_0100_0000_01b3);
-    }
-    h
+    Fnv1a::new().bytes(name.as_bytes()).finish()
 }
 
 /// Generates the synthetic stand-in for `spec` (deterministic per name).

@@ -17,9 +17,10 @@
 //!
 //! ## Design
 //!
-//! * **No dependencies.** HTTP framing ([`http`]) and JSON ([`json`]) are
-//!   hand-rolled subsets, hardened with byte caps on every input dimension
-//!   and fuzzed with proptest; the whole crate is `TcpListener` + threads.
+//! * **No dependencies.** HTTP framing ([`http`]) and JSON ([`json`], from
+//!   relia-core) are hand-rolled subsets, hardened with byte caps on every
+//!   input dimension and fuzzed with proptest; the whole crate is
+//!   `TcpListener` + threads.
 //! * **Shared memoization.** Queries evaluate through the same sharded
 //!   ΔV_th cache ([`relia_jobs::ShardedCache`]) the sweep engine uses, and
 //!   the server's cache can be handed to batch sweeps
@@ -69,7 +70,6 @@ pub mod coalesce;
 #[cfg(feature = "fault-inject")]
 pub mod fault;
 pub mod http;
-pub mod json;
 pub mod metrics;
 pub mod obs;
 pub mod server;
@@ -89,6 +89,7 @@ pub use http::{
 pub use json::{fmt_f64, Json, JsonError};
 pub use metrics::{render_prometheus, ServeMetrics};
 pub use obs::{ServeObs, SlowSink, DEFAULT_TRACE_CAPACITY};
+pub use relia_core::json;
 pub use server::{ServeConfig, Server, ServerHandle};
 pub use service::{
     degrade_body, handle, handle_fleet_streamed, handle_traced, parse_degrade, parse_sweep, Action,

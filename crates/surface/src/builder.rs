@@ -309,6 +309,7 @@ pub fn build(model: &NbtiModel, spec: &BuildSpec) -> Result<Artifact, SurfaceErr
 #[cfg(test)]
 mod tests {
     use super::*;
+    use relia_core::seal::Fnv1a;
 
     /// A small but representative spec: dense enough to hold the error
     /// bound, small enough for test time.
@@ -406,10 +407,7 @@ mod tests {
     /// same residue for every intact artifact.)
     fn digest(model: &NbtiModel, spec: &BuildSpec) -> (usize, u64) {
         let bytes = build(model, spec).unwrap().to_bytes();
-        let fnv = bytes.iter().fold(0xcbf2_9ce4_8422_2325u64, |h, &b| {
-            (h ^ u64::from(b)).wrapping_mul(0x0000_0100_0000_01b3)
-        });
-        (bytes.len(), fnv)
+        (bytes.len(), Fnv1a::new().bytes(&bytes).finish())
     }
 
     /// The artifact bytes are pinned: any drift in a grid value, the

@@ -28,6 +28,19 @@ echo "==> relia lint (unit, reliability & concurrency invariants)"
 # fails the gate. JSON keeps the failure output one-line-per-finding.
 target/release/relia lint --format json --jobs 4
 
+echo "==> one CRC-32 and one FNV-1a (relia_core::seal)"
+# The CRC polynomial and the FNV offset basis may appear only in
+# crates/core/src/seal.rs; a second copy anywhere in crate sources or
+# tests fails the gate. crates/proptest is a vendored stand-in for an
+# external crate and keeps its own hash.
+dupes="$(grep -rliE 'edb8_?8320|cbf2_?9ce4' crates/*/src crates/*/tests 2>/dev/null |
+    grep -v -e '^crates/core/src/seal\.rs$' -e '^crates/proptest/' || true)"
+if [ -n "$dupes" ]; then
+    echo "CRC-32 or FNV-1a constants outside relia_core::seal:" >&2
+    printf '%s\n' "$dupes" >&2
+    exit 1
+fi
+
 echo "==> relia serve (boot, loadgen smoke, graceful drain)"
 # Boot the real CLI binary on an ephemeral port, fire 1k mixed requests
 # through the byte-parity load generator, and let it drain the server via

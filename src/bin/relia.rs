@@ -104,8 +104,7 @@ const USAGE: &str = "usage:
   relia surface probe <artifact> [--tstandby K] [--ras A:S] [--time S]
                 [--pactive P] [--pstandby P]     interpolated lookup from an artifact
   relia lint    [--root PATH] [--format text|json|sarif]
-                [--jobs N] [--incremental] [--write-cache]
-                                                 workspace static analysis
+                [--jobs N]                       workspace static analysis
   relia list                                     built-in benchmarks
   relia help                                     this message
   relia --version                                toolkit version
@@ -494,8 +493,6 @@ fn run_lint_command(args: &[String]) -> Result<(), CliError> {
                 Some(n) if n >= 1 => opts.jobs = n,
                 _ => return Err(CliError::Usage("--jobs needs a positive integer".into())),
             },
-            "--incremental" => opts.incremental = true,
-            "--write-cache" => opts.write_cache = true,
             other => return Err(CliError::Usage(format!("unknown lint flag {other:?}"))),
         }
     }

@@ -653,20 +653,6 @@ fn lint_parallel_output_is_byte_identical_to_serial() {
 }
 
 #[test]
-fn lint_incremental_run_uses_the_committed_cache() {
-    let (code, stdout, stderr) = relia_coded(&[
-        "lint",
-        "--root",
-        workspace_root(),
-        "--incremental",
-        "--format",
-        "json",
-    ]);
-    assert_eq!(code, Some(0), "{stderr}");
-    assert!(stdout.is_empty(), "cache-hit run still found: {stdout}");
-}
-
-#[test]
 fn lint_sarif_output_validates_against_the_minimal_schema() {
     use relia::serve::json::{parse, Json};
 
