@@ -1,72 +1,45 @@
 //! `bench_fleet` — measures the per-sample cost of the scalar NBTI path
 //! against the hoisted batch kernel and maintains the committed
-//! `BENCH_fleet.json` record.
+//! `BENCH_fleet.json` record through the [`relia_bench::gate`] harness
+//! (`--write`, `--check`, exit codes).
 //!
-//! ```text
-//! bench_fleet            measure and print (no file IO)
-//! bench_fleet --write    re-measure and rewrite BENCH_fleet.json
-//! bench_fleet --check    re-measure and gate against the committed file
-//! ```
-//!
-//! `--check` fails (exit 1) when either the fresh measurement or the
-//! committed record falls below the required speedup, or when the committed
-//! per-sample numbers drift outside a generous tolerance band of the fresh
-//! ones (machine noise is expected; a regression of the hoisting itself is
-//! not). Flag mistakes exit 2.
+//! The fleet claim under test: hoisting the sample-invariant model terms
+//! makes the batch kernel at least [`MIN_SPEEDUP`] times faster per sample
+//! than re-deriving the full temperature-aware model; both per-sample
+//! timings are drift-checked.
 
 use std::hint::black_box;
-use std::path::PathBuf;
 use std::process::ExitCode;
 use std::time::Instant;
 
+use relia_bench::gate::{median_of_reps, Bench, Format, Gate};
 use relia_core::{NbtiModel, Volts};
 use relia_fleet::{ChunkAccum, FleetEvaluator, FleetSpec, SplitMix64};
 
 /// Fleet size both paths are timed over (the acceptance point).
 const SAMPLES: usize = 10_000;
-/// Timing repetitions; the reported number is the median.
-const REPS: usize = 5;
 /// Required batch-over-scalar speedup, fresh and committed.
 const MIN_SPEEDUP: f64 = 5.0;
-/// Committed ns/sample may differ from a fresh measurement by this factor
-/// in either direction before `--check` calls it a drift.
-const DRIFT_FACTOR: f64 = 8.0;
 
-struct Record {
-    samples: u64,
-    times: u64,
-    scalar_ns_per_sample: f64,
-    batch_ns_per_sample: f64,
-    speedup: f64,
-}
+/// `BENCH_fleet.json`: its fields in file order and the `--check` gate table.
+const BENCH: Bench = Bench {
+    name: "fleet",
+    fields: &[
+        ("samples", Format::Count),
+        ("times", Format::Count),
+        ("scalar_ns_per_sample", Format::Tenths),
+        ("batch_ns_per_sample", Format::Tenths),
+        ("speedup", Format::Tenths),
+    ],
+    gates: &[
+        Gate::AtLeast("speedup", MIN_SPEEDUP),
+        Gate::Drift("scalar_ns_per_sample"),
+        Gate::Drift("batch_ns_per_sample"),
+    ],
+};
 
-impl Record {
-    fn to_json(&self) -> String {
-        format!(
-            "{{\n  \"samples\": {},\n  \"times\": {},\n  \"scalar_ns_per_sample\": {:.1},\n  \"batch_ns_per_sample\": {:.1},\n  \"speedup\": {:.1}\n}}\n",
-            self.samples, self.times, self.scalar_ns_per_sample, self.batch_ns_per_sample, self.speedup
-        )
-    }
-}
-
-/// Pulls `"name": <number>` out of the committed record without a JSON
-/// dependency — the file is machine-written by `to_json` above.
-fn json_number(text: &str, name: &str) -> Option<f64> {
-    let key = format!("\"{name}\":");
-    let rest = &text[text.find(&key)? + key.len()..];
-    let rest = rest.trim_start();
-    let end = rest
-        .find(|c: char| !(c.is_ascii_digit() || c == '.' || c == '-' || c == 'e' || c == 'E'))
-        .unwrap_or(rest.len());
-    rest[..end].parse().ok()
-}
-
-fn median(mut xs: Vec<f64>) -> f64 {
-    xs.sort_by(f64::total_cmp);
-    xs[xs.len() / 2]
-}
-
-fn measure() -> Record {
+/// The record's values, in [`BENCH`] field order.
+fn measure() -> [f64; BENCH.fields.len()] {
     let spec = {
         let mut s = FleetSpec::paper_defaults().expect("paper defaults are valid");
         s.samples = SAMPLES;
@@ -80,155 +53,62 @@ fn measure() -> Record {
     // Scalar path: every sample re-derives the full temperature-aware
     // model (Arrhenius terms, AC-recursion setup, equivalent stress time)
     // for each evaluation time.
-    let scalar_ns = median(
-        (0..REPS)
-            .map(|rep| {
-                let mut rng = SplitMix64::stream(1, rep as u64);
-                let mut sum = 0.0;
-                let start = Instant::now();
-                for _ in 0..SAMPLES {
-                    let vth0 = spec
-                        .dist
-                        .sample_box_muller(rng.next_f64(), rng.next_f64())
-                        .0;
-                    for &t in &spec.times {
-                        sum += model
-                            .delta_vth_with_vth0(t, &schedule, &stress, Volts(vth0))
-                            .expect("in-range stress point");
-                    }
-                }
-                let ns = start.elapsed().as_nanos() as f64 / SAMPLES as f64;
-                black_box(sum);
-                ns
-            })
-            .collect(),
-    );
+    let scalar_ns = median_of_reps(|rep| {
+        let mut rng = SplitMix64::stream(1, rep as u64);
+        let mut sum = 0.0;
+        let start = Instant::now();
+        for _ in 0..SAMPLES {
+            let vth0 = spec
+                .dist
+                .sample_box_muller(rng.next_f64(), rng.next_f64())
+                .0;
+            for &t in &spec.times {
+                sum += model
+                    .delta_vth_with_vth0(t, &schedule, &stress, Volts(vth0))
+                    .expect("in-range stress point");
+            }
+        }
+        let ns = start.elapsed().as_nanos() as f64 / SAMPLES as f64;
+        black_box(sum);
+        ns
+    });
 
     // Batch path: the engine's own per-sample tail behind hoisted terms
     // (drawing the same variates plus the accumulator updates).
-    let batch_ns = median(
-        (0..REPS)
-            .map(|rep| {
-                let mut rng = SplitMix64::stream(1, rep as u64);
-                let mut acc = ChunkAccum::new(spec.times.len());
-                let start = Instant::now();
-                for _ in 0..SAMPLES {
-                    eval.sample_into(&mut rng, &mut acc);
-                }
-                let ns = start.elapsed().as_nanos() as f64 / SAMPLES as f64;
-                black_box(&acc);
-                ns
-            })
-            .collect(),
-    );
-
-    Record {
-        samples: SAMPLES as u64,
-        times: spec.times.len() as u64,
-        scalar_ns_per_sample: scalar_ns,
-        batch_ns_per_sample: batch_ns,
-        speedup: scalar_ns / batch_ns,
-    }
-}
-
-fn record_path() -> PathBuf {
-    // crates/bench -> workspace root, so the record lives next to the
-    // figure goldens regardless of the invoking directory.
-    PathBuf::from(env!("CARGO_MANIFEST_DIR"))
-        .join("../..")
-        .join("BENCH_fleet.json")
-}
-
-fn check(fresh: &Record) -> Result<(), String> {
-    let path = record_path();
-    let text = std::fs::read_to_string(&path)
-        .map_err(|e| format!("cannot read {}: {e}", path.display()))?;
-    let committed_scalar = json_number(&text, "scalar_ns_per_sample")
-        .ok_or("committed record lacks scalar_ns_per_sample")?;
-    let committed_batch = json_number(&text, "batch_ns_per_sample")
-        .ok_or("committed record lacks batch_ns_per_sample")?;
-    let committed_speedup =
-        json_number(&text, "speedup").ok_or("committed record lacks speedup")?;
-    if committed_speedup < MIN_SPEEDUP {
-        return Err(format!(
-            "committed speedup {committed_speedup:.1}x is below the required {MIN_SPEEDUP:.1}x"
-        ));
-    }
-    if fresh.speedup < MIN_SPEEDUP {
-        return Err(format!(
-            "measured speedup {:.1}x is below the required {MIN_SPEEDUP:.1}x",
-            fresh.speedup
-        ));
-    }
-    for (name, committed, measured) in [
-        (
-            "scalar_ns_per_sample",
-            committed_scalar,
-            fresh.scalar_ns_per_sample,
-        ),
-        (
-            "batch_ns_per_sample",
-            committed_batch,
-            fresh.batch_ns_per_sample,
-        ),
-    ] {
-        let ratio = if measured > committed {
-            measured / committed
-        } else {
-            committed / measured
-        };
-        if !(ratio.is_finite() && ratio <= DRIFT_FACTOR) {
-            return Err(format!(
-                "{name} drifted: committed {committed:.1}, measured {measured:.1} \
-                 (beyond {DRIFT_FACTOR:.0}x tolerance; rerun with --write on this machine)"
-            ));
+    let batch_ns = median_of_reps(|rep| {
+        let mut rng = SplitMix64::stream(1, rep as u64);
+        let mut acc = ChunkAccum::new(spec.times.len());
+        let start = Instant::now();
+        for _ in 0..SAMPLES {
+            eval.sample_into(&mut rng, &mut acc);
         }
-    }
-    Ok(())
+        let ns = start.elapsed().as_nanos() as f64 / SAMPLES as f64;
+        black_box(&acc);
+        ns
+    });
+
+    [
+        SAMPLES as f64,
+        spec.times.len() as f64,
+        scalar_ns,
+        batch_ns,
+        scalar_ns / batch_ns,
+    ]
 }
 
 fn main() -> ExitCode {
-    let args: Vec<String> = std::env::args().skip(1).collect();
-    let mode = match args.first().map(String::as_str) {
-        None => "print",
-        Some("--write") => "write",
-        Some("--check") => "check",
-        Some(other) => {
-            eprintln!("bench_fleet: unknown flag {other}");
-            eprintln!("usage: bench_fleet [--write | --check]");
-            return ExitCode::from(2);
-        }
-    };
+    BENCH.run(measure)
+}
 
-    let fresh = measure();
-    println!(
-        "fleet bench: {} samples x {} times (median of {REPS} reps)",
-        fresh.samples, fresh.times
-    );
-    println!("scalar : {:>10.1} ns/sample", fresh.scalar_ns_per_sample);
-    println!("batch  : {:>10.1} ns/sample", fresh.batch_ns_per_sample);
-    println!("speedup: {:>10.1}x", fresh.speedup);
+#[cfg(test)]
+mod tests {
+    use super::BENCH;
 
-    match mode {
-        "write" => {
-            let path = record_path();
-            if let Err(e) = std::fs::write(&path, fresh.to_json()) {
-                eprintln!("bench_fleet: cannot write {}: {e}", path.display());
-                return ExitCode::from(1);
-            }
-            println!("wrote {}", path.display());
-            ExitCode::SUCCESS
-        }
-        "check" => match check(&fresh) {
-            Ok(()) => {
-                println!("check: committed record within tolerance, speedup gate held");
-                ExitCode::SUCCESS
-            }
-            Err(e) => {
-                eprintln!("bench_fleet: {e}");
-                ExitCode::from(1)
-            }
-        },
-        _ => ExitCode::SUCCESS,
+    #[test]
+    fn committed_record_round_trips_and_holds_its_bounds() {
+        let text = BENCH.read_committed().expect("committed record reads");
+        let committed = BENCH.parse(&text).expect("committed record parses");
+        assert_eq!(BENCH.render(&committed), text);
+        assert_eq!(BENCH.check(&committed, &committed), Vec::<String>::new());
     }
 }

@@ -1,11 +1,6 @@
 //! `bench_obs` — measures the observability hot path and maintains the
-//! committed `BENCH_obs.json` record.
-//!
-//! ```text
-//! bench_obs            measure and print (no file IO)
-//! bench_obs --write    re-measure and rewrite BENCH_obs.json
-//! bench_obs --check    re-measure and gate against the committed file
-//! ```
+//! committed `BENCH_obs.json` record through the [`relia_bench::gate`]
+//! harness (`--write`, `--check`, exit codes).
 //!
 //! The observability claim under test: instrumentation must be *free
 //! enough to leave on*. Recording one span into the ring (id allocation +
@@ -15,85 +10,55 @@
 //! distort the very latencies it reports. The monotonic clock read and
 //! the full RAII guard path (two clock reads + a record) are reported
 //! alongside and drift-checked, but not bounded: `clock_gettime` cost is
-//! the platform's, not the tracer's, and varies per machine. `--check`
-//! fails (exit 1) when the fresh measurement or the committed record
-//! breaks the bound, or when committed numbers drift outside a generous
-//! tolerance band of fresh ones (machine noise is expected; a slow record
-//! path is not). Flag mistakes exit 2.
+//! the platform's, not the tracer's, and varies per machine.
 
 use std::hint::black_box;
-use std::path::PathBuf;
 use std::process::ExitCode;
 use std::time::Instant;
 
+use relia_bench::gate::{median_of_reps, Bench, Format, Gate, REPS};
 use relia_obs::Clock;
 use relia_obs::{LatencyHist, MonotonicClock, Tracer};
 
 /// Records timed per path; the reported number is ns/record.
 const CALLS: usize = 200_000;
-/// Timing repetitions; the reported number is the median.
-const REPS: usize = 5;
 /// Ring recording and histogram recording must stay under 100 ns each,
 /// fresh and committed.
 const MAX_SPAN_NS: f64 = 100.0;
-/// Committed ns/record may differ from a fresh measurement by this
-/// factor in either direction before `--check` calls it a drift.
-const DRIFT_FACTOR: f64 = 8.0;
 
-struct Record {
-    calls: u64,
-    span_ns_per_record: f64,
-    hist_ns_per_record: f64,
-    clock_ns_per_read: f64,
-    guard_ns_per_span: f64,
-}
-
-impl Record {
-    fn to_json(&self) -> String {
-        format!(
-            "{{\n  \"calls\": {},\n  \"span_ns_per_record\": {:.1},\n  \"hist_ns_per_record\": {:.1},\n  \"clock_ns_per_read\": {:.1},\n  \"guard_ns_per_span\": {:.1}\n}}\n",
-            self.calls,
-            self.span_ns_per_record,
-            self.hist_ns_per_record,
-            self.clock_ns_per_read,
-            self.guard_ns_per_span
-        )
-    }
-}
-
-/// Pulls `"name": <number>` out of the committed record without a JSON
-/// dependency — the file is machine-written by `to_json` above.
-fn json_number(text: &str, name: &str) -> Option<f64> {
-    let key = format!("\"{name}\":");
-    let rest = &text[text.find(&key)? + key.len()..];
-    let rest = rest.trim_start();
-    let end = rest
-        .find(|c: char| !(c.is_ascii_digit() || c == '.' || c == '-' || c == 'e' || c == 'E'))
-        .unwrap_or(rest.len());
-    rest[..end].parse().ok()
-}
-
-fn median(mut xs: Vec<f64>) -> f64 {
-    xs.sort_by(f64::total_cmp);
-    xs[xs.len() / 2]
-}
+/// `BENCH_obs.json`: its fields in file order and the `--check` gate table.
+const BENCH: Bench = Bench {
+    name: "obs",
+    fields: &[
+        ("calls", Format::Count),
+        ("span_ns_per_record", Format::Tenths),
+        ("hist_ns_per_record", Format::Tenths),
+        ("clock_ns_per_read", Format::Tenths),
+        ("guard_ns_per_span", Format::Tenths),
+    ],
+    gates: &[
+        Gate::AtMost("span_ns_per_record", MAX_SPAN_NS),
+        Gate::AtMost("hist_ns_per_record", MAX_SPAN_NS),
+        Gate::Drift("span_ns_per_record"),
+        Gate::Drift("hist_ns_per_record"),
+        Gate::Drift("clock_ns_per_read"),
+        Gate::Drift("guard_ns_per_span"),
+    ],
+};
 
 /// Median ns per call of `op` over [`REPS`] reps of [`CALLS`] calls.
 fn time_loop(mut op: impl FnMut(usize)) -> f64 {
-    median(
-        (0..REPS)
-            .map(|rep| {
-                let start = Instant::now();
-                for i in 0..CALLS {
-                    op(rep * CALLS + i);
-                }
-                start.elapsed().as_nanos() as f64 / CALLS as f64
-            })
-            .collect(),
-    )
+    median_of_reps(|rep| {
+        let start = Instant::now();
+        for i in 0..CALLS {
+            op(rep * CALLS + i);
+        }
+        start.elapsed().as_nanos() as f64 / CALLS as f64
+    })
 }
 
-fn measure() -> Record {
+/// The record's values, in [`BENCH`] field order.
+fn measure() -> [f64; BENCH.fields.len()] {
     // The gated path: recording one span into the ring — id allocation,
     // slot try_lock, store. Everything the tracer itself costs.
     let tracer = Tracer::new(1024);
@@ -120,135 +85,22 @@ fn measure() -> Record {
         black_box(black_box(&guard_tracer).span("bench")).finish();
     });
 
-    Record {
-        calls: CALLS as u64,
-        span_ns_per_record: span_ns,
-        hist_ns_per_record: hist_ns,
-        clock_ns_per_read: clock_ns,
-        guard_ns_per_span: guard_ns,
-    }
-}
-
-fn record_path() -> PathBuf {
-    // crates/bench -> workspace root, so the record lives next to the
-    // figure goldens regardless of the invoking directory.
-    PathBuf::from(env!("CARGO_MANIFEST_DIR"))
-        .join("../..")
-        .join("BENCH_obs.json")
-}
-
-fn check(fresh: &Record) -> Result<(), String> {
-    let path = record_path();
-    let text = std::fs::read_to_string(&path)
-        .map_err(|e| format!("cannot read {}: {e}", path.display()))?;
-    let committed = |name: &str| {
-        json_number(&text, name).ok_or_else(|| format!("committed record lacks {name}"))
-    };
-    let committed_span = committed("span_ns_per_record")?;
-    let committed_hist = committed("hist_ns_per_record")?;
-    let committed_clock = committed("clock_ns_per_read")?;
-    let committed_guard = committed("guard_ns_per_span")?;
-    for (what, value) in [
-        ("committed span record", committed_span),
-        ("measured span record", fresh.span_ns_per_record),
-        ("committed hist record", committed_hist),
-        ("measured hist record", fresh.hist_ns_per_record),
-    ] {
-        if value > MAX_SPAN_NS {
-            return Err(format!(
-                "{what} cost {value:.0} ns exceeds the {MAX_SPAN_NS:.0} ns bound"
-            ));
-        }
-    }
-    for (name, committed, measured) in [
-        (
-            "span_ns_per_record",
-            committed_span,
-            fresh.span_ns_per_record,
-        ),
-        (
-            "hist_ns_per_record",
-            committed_hist,
-            fresh.hist_ns_per_record,
-        ),
-        (
-            "clock_ns_per_read",
-            committed_clock,
-            fresh.clock_ns_per_read,
-        ),
-        (
-            "guard_ns_per_span",
-            committed_guard,
-            fresh.guard_ns_per_span,
-        ),
-    ] {
-        let ratio = if measured > committed {
-            measured / committed
-        } else {
-            committed / measured
-        };
-        if !(ratio.is_finite() && ratio <= DRIFT_FACTOR) {
-            return Err(format!(
-                "{name} drifted: committed {committed:.1}, measured {measured:.1} \
-                 (beyond {DRIFT_FACTOR:.0}x tolerance; rerun with --write on this machine)"
-            ));
-        }
-    }
-    Ok(())
+    [CALLS as f64, span_ns, hist_ns, clock_ns, guard_ns]
 }
 
 fn main() -> ExitCode {
-    let args: Vec<String> = std::env::args().skip(1).collect();
-    let mode = match args.first().map(String::as_str) {
-        None => "print",
-        Some("--write") => "write",
-        Some("--check") => "check",
-        Some(other) => {
-            eprintln!("bench_obs: unknown flag {other}");
-            eprintln!("usage: bench_obs [--write | --check]");
-            return ExitCode::from(2);
-        }
-    };
+    BENCH.run(measure)
+}
 
-    let fresh = measure();
-    println!("obs hot-path bench: {CALLS} records (median of {REPS} reps)");
-    println!(
-        "span ring record  : {:>8.1} ns/record",
-        fresh.span_ns_per_record
-    );
-    println!(
-        "hist record       : {:>8.1} ns/record",
-        fresh.hist_ns_per_record
-    );
-    println!(
-        "clock read        : {:>8.1} ns/read   (platform cost, unbounded)",
-        fresh.clock_ns_per_read
-    );
-    println!(
-        "full span guard   : {:>8.1} ns/span   (2 clock reads + 1 record)",
-        fresh.guard_ns_per_span
-    );
+#[cfg(test)]
+mod tests {
+    use super::BENCH;
 
-    match mode {
-        "write" => {
-            let path = record_path();
-            if let Err(e) = std::fs::write(&path, fresh.to_json()) {
-                eprintln!("bench_obs: cannot write {}: {e}", path.display());
-                return ExitCode::from(1);
-            }
-            println!("wrote {}", path.display());
-            ExitCode::SUCCESS
-        }
-        "check" => match check(&fresh) {
-            Ok(()) => {
-                println!("check: committed record within tolerance, span-cost gate held");
-                ExitCode::SUCCESS
-            }
-            Err(e) => {
-                eprintln!("bench_obs: {e}");
-                ExitCode::from(1)
-            }
-        },
-        _ => ExitCode::SUCCESS,
+    #[test]
+    fn committed_record_round_trips_and_holds_its_bounds() {
+        let text = BENCH.read_committed().expect("committed record reads");
+        let committed = BENCH.parse(&text).expect("committed record parses");
+        assert_eq!(BENCH.render(&committed), text);
+        assert_eq!(BENCH.check(&committed, &committed), Vec::<String>::new());
     }
 }

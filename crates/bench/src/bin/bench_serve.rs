@@ -1,40 +1,42 @@
 //! `bench_serve` — measures the overload-control answer paths and
-//! maintains the committed `BENCH_serve.json` record.
-//!
-//! ```text
-//! bench_serve            measure and print (no file IO)
-//! bench_serve --write    re-measure and rewrite BENCH_serve.json
-//! bench_serve --check    re-measure and gate against the committed file
-//! ```
+//! maintains the committed `BENCH_serve.json` record through the
+//! [`relia_bench::gate`] harness (`--write`, `--check`, exit codes).
 //!
 //! The serving claim under test: shedding must be *cheap*. A browned-out
 //! server answers a cold query with a fast 503 whose full dispatch cost
 //! (routing, gating, rendering, jittered Retry-After) stays under
 //! [`MAX_SHED_NS`] — otherwise overload control would itself be the
-//! overload. `--check` fails (exit 1) when the fresh measurement or the
-//! committed record breaks that bound, or when the committed numbers
-//! drift outside a generous tolerance band of the fresh ones (machine
-//! noise is expected; a regression of the shed path is not). Flag
-//! mistakes exit 2.
+//! overload. The brownout cache-hit path is timed alongside; both are
+//! drift-checked.
 
 use std::hint::black_box;
-use std::path::PathBuf;
 use std::process::ExitCode;
 use std::time::{Duration, Instant};
 
+use relia_bench::gate::{median_of_reps, Bench, Format, Gate};
 use relia_core::{CancelToken, Deadline, Kelvin};
 use relia_serve::{handle, DegradeQuery, Endpoint, EvalGate, OverloadConfig, Request, ServeState};
 
 /// Dispatches timed per path; the reported number is ns/request.
 const CALLS: usize = 20_000;
-/// Timing repetitions; the reported number is the median.
-const REPS: usize = 5;
 /// The breaker fast-path shed must answer in under 10 µs, fresh and
 /// committed.
 const MAX_SHED_NS: f64 = 10_000.0;
-/// Committed ns/request may differ from a fresh measurement by this
-/// factor in either direction before `--check` calls it a drift.
-const DRIFT_FACTOR: f64 = 8.0;
+
+/// `BENCH_serve.json`: its fields in file order and the `--check` gate table.
+const BENCH: Bench = Bench {
+    name: "serve",
+    fields: &[
+        ("calls", Format::Count),
+        ("shed_ns_per_request", Format::Tenths),
+        ("cache_hit_ns_per_request", Format::Tenths),
+    ],
+    gates: &[
+        Gate::AtMost("shed_ns_per_request", MAX_SHED_NS),
+        Gate::Drift("shed_ns_per_request"),
+        Gate::Drift("cache_hit_ns_per_request"),
+    ],
+};
 
 const QUERY: DegradeQuery = DegradeQuery {
     ras: (1.0, 9.0),
@@ -43,38 +45,6 @@ const QUERY: DegradeQuery = DegradeQuery {
     p_active: 0.5,
     p_standby: 1.0,
 };
-
-struct Record {
-    calls: u64,
-    shed_ns_per_request: f64,
-    cache_hit_ns_per_request: f64,
-}
-
-impl Record {
-    fn to_json(&self) -> String {
-        format!(
-            "{{\n  \"calls\": {},\n  \"shed_ns_per_request\": {:.1},\n  \"cache_hit_ns_per_request\": {:.1}\n}}\n",
-            self.calls, self.shed_ns_per_request, self.cache_hit_ns_per_request
-        )
-    }
-}
-
-/// Pulls `"name": <number>` out of the committed record without a JSON
-/// dependency — the file is machine-written by `to_json` above.
-fn json_number(text: &str, name: &str) -> Option<f64> {
-    let key = format!("\"{name}\":");
-    let rest = &text[text.find(&key)? + key.len()..];
-    let rest = rest.trim_start();
-    let end = rest
-        .find(|c: char| !(c.is_ascii_digit() || c == '.' || c == '-' || c == 'e' || c == 'E'))
-        .unwrap_or(rest.len());
-    rest[..end].parse().ok()
-}
-
-fn median(mut xs: Vec<f64>) -> f64 {
-    xs.sort_by(f64::total_cmp);
-    xs[xs.len() / 2]
-}
 
 fn degrade_request(body: &str) -> Request {
     Request {
@@ -93,22 +63,19 @@ fn deadline() -> Deadline {
 /// Median ns per `handle()` dispatch against `state`, asserting every
 /// response carries `status`.
 fn time_dispatch(state: &ServeState, request: &Request, status: u16) -> f64 {
-    median(
-        (0..REPS)
-            .map(|_| {
-                let start = Instant::now();
-                for _ in 0..CALLS {
-                    let (response, _) = handle(black_box(state), request, &deadline());
-                    assert_eq!(response.status, status);
-                    black_box(response);
-                }
-                start.elapsed().as_nanos() as f64 / CALLS as f64
-            })
-            .collect(),
-    )
+    median_of_reps(|_| {
+        let start = Instant::now();
+        for _ in 0..CALLS {
+            let (response, _) = handle(black_box(state), request, &deadline());
+            assert_eq!(response.status, status);
+            black_box(response);
+        }
+        start.elapsed().as_nanos() as f64 / CALLS as f64
+    })
 }
 
-fn measure() -> Record {
+/// The record's values, in [`BENCH`] field order.
+fn measure() -> [f64; BENCH.fields.len()] {
     let body = QUERY.to_body();
     let request = degrade_request(&body);
     let tripped_overload = || OverloadConfig {
@@ -141,111 +108,22 @@ fn measure() -> Record {
     );
     let cache_hit_ns = time_dispatch(&browned, &request, 200);
 
-    Record {
-        calls: CALLS as u64,
-        shed_ns_per_request: shed_ns,
-        cache_hit_ns_per_request: cache_hit_ns,
-    }
-}
-
-fn record_path() -> PathBuf {
-    // crates/bench -> workspace root, so the record lives next to the
-    // figure goldens regardless of the invoking directory.
-    PathBuf::from(env!("CARGO_MANIFEST_DIR"))
-        .join("../..")
-        .join("BENCH_serve.json")
-}
-
-fn check(fresh: &Record) -> Result<(), String> {
-    let path = record_path();
-    let text = std::fs::read_to_string(&path)
-        .map_err(|e| format!("cannot read {}: {e}", path.display()))?;
-    let committed_shed = json_number(&text, "shed_ns_per_request")
-        .ok_or("committed record lacks shed_ns_per_request")?;
-    let committed_hit = json_number(&text, "cache_hit_ns_per_request")
-        .ok_or("committed record lacks cache_hit_ns_per_request")?;
-    if committed_shed > MAX_SHED_NS {
-        return Err(format!(
-            "committed shed cost {committed_shed:.0} ns exceeds the {MAX_SHED_NS:.0} ns bound"
-        ));
-    }
-    if fresh.shed_ns_per_request > MAX_SHED_NS {
-        return Err(format!(
-            "measured shed cost {:.0} ns exceeds the {MAX_SHED_NS:.0} ns bound",
-            fresh.shed_ns_per_request
-        ));
-    }
-    for (name, committed, measured) in [
-        (
-            "shed_ns_per_request",
-            committed_shed,
-            fresh.shed_ns_per_request,
-        ),
-        (
-            "cache_hit_ns_per_request",
-            committed_hit,
-            fresh.cache_hit_ns_per_request,
-        ),
-    ] {
-        let ratio = if measured > committed {
-            measured / committed
-        } else {
-            committed / measured
-        };
-        if !(ratio.is_finite() && ratio <= DRIFT_FACTOR) {
-            return Err(format!(
-                "{name} drifted: committed {committed:.1}, measured {measured:.1} \
-                 (beyond {DRIFT_FACTOR:.0}x tolerance; rerun with --write on this machine)"
-            ));
-        }
-    }
-    Ok(())
+    [CALLS as f64, shed_ns, cache_hit_ns]
 }
 
 fn main() -> ExitCode {
-    let args: Vec<String> = std::env::args().skip(1).collect();
-    let mode = match args.first().map(String::as_str) {
-        None => "print",
-        Some("--write") => "write",
-        Some("--check") => "check",
-        Some(other) => {
-            eprintln!("bench_serve: unknown flag {other}");
-            eprintln!("usage: bench_serve [--write | --check]");
-            return ExitCode::from(2);
-        }
-    };
+    BENCH.run(measure)
+}
 
-    let fresh = measure();
-    println!("serve overload bench: {CALLS} dispatches (median of {REPS} reps)");
-    println!(
-        "breaker shed (503)  : {:>8.1} ns/request",
-        fresh.shed_ns_per_request
-    );
-    println!(
-        "brownout hit (200)  : {:>8.1} ns/request",
-        fresh.cache_hit_ns_per_request
-    );
+#[cfg(test)]
+mod tests {
+    use super::BENCH;
 
-    match mode {
-        "write" => {
-            let path = record_path();
-            if let Err(e) = std::fs::write(&path, fresh.to_json()) {
-                eprintln!("bench_serve: cannot write {}: {e}", path.display());
-                return ExitCode::from(1);
-            }
-            println!("wrote {}", path.display());
-            ExitCode::SUCCESS
-        }
-        "check" => match check(&fresh) {
-            Ok(()) => {
-                println!("check: committed record within tolerance, shed-cost gate held");
-                ExitCode::SUCCESS
-            }
-            Err(e) => {
-                eprintln!("bench_serve: {e}");
-                ExitCode::from(1)
-            }
-        },
-        _ => ExitCode::SUCCESS,
+    #[test]
+    fn committed_record_round_trips_and_holds_its_bounds() {
+        let text = BENCH.read_committed().expect("committed record reads");
+        let committed = BENCH.parse(&text).expect("committed record parses");
+        assert_eq!(BENCH.render(&committed), text);
+        assert_eq!(BENCH.check(&committed, &committed), Vec::<String>::new());
     }
 }

@@ -1,24 +1,18 @@
 //! `bench_surface` — measures an interpolated surface lookup against the
 //! exact model evaluation it replaces and maintains the committed
-//! `BENCH_surface.json` record.
+//! `BENCH_surface.json` record through the [`relia_bench::gate`] harness
+//! (`--write`, `--check`, exit codes).
 //!
-//! ```text
-//! bench_surface            measure and print (no file IO)
-//! bench_surface --write    re-measure and rewrite BENCH_surface.json
-//! bench_surface --check    re-measure and gate against the committed file
-//! ```
-//!
-//! `--check` fails (exit 1) when either the fresh measurement or the
-//! committed record falls below the required speedup, or when the
-//! committed ns/lookup numbers drift outside a generous tolerance band of
-//! the fresh ones (machine noise is expected; a regression of the lookup
-//! itself is not). Flag mistakes exit 2.
+//! The surface claim under test: a lookup is at least [`MIN_SPEEDUP`]
+//! times cheaper than the exact evaluation; both per-call timings are
+//! drift-checked. The record also carries the bench grid's size and
+//! measured sup-error.
 
 use std::hint::black_box;
-use std::path::PathBuf;
 use std::process::ExitCode;
 use std::time::Instant;
 
+use relia_bench::gate::{median_of_reps, Bench, Format, Gate};
 use relia_core::{Kelvin, NbtiModel};
 use relia_jobs::SWEEP_TEMP_ACTIVE_K;
 use relia_surface::{
@@ -31,47 +25,25 @@ const QUERIES: usize = 256;
 const LOOKUP_ITERS: usize = 200_000;
 /// Exact evaluations per repetition (micro-seconds each, so fewer).
 const EXACT_ITERS: usize = 2_000;
-/// Timing repetitions; the reported number is the median.
-const REPS: usize = 5;
 /// Required surface-over-exact speedup, fresh and committed.
 const MIN_SPEEDUP: f64 = 100.0;
-/// Committed ns/lookup may differ from a fresh measurement by this factor
-/// in either direction before `--check` calls it a drift.
-const DRIFT_FACTOR: f64 = 8.0;
 
-struct Record {
-    grid_values: u64,
-    sup_error: f64,
-    exact_ns_per_eval: f64,
-    surface_ns_per_lookup: f64,
-    speedup: f64,
-}
-
-impl Record {
-    fn to_json(&self) -> String {
-        format!(
-            "{{\n  \"grid_values\": {},\n  \"sup_error\": {:e},\n  \"exact_ns_per_eval\": {:.1},\n  \"surface_ns_per_lookup\": {:.1},\n  \"speedup\": {:.1}\n}}\n",
-            self.grid_values, self.sup_error, self.exact_ns_per_eval, self.surface_ns_per_lookup, self.speedup
-        )
-    }
-}
-
-/// Pulls `"name": <number>` out of the committed record without a JSON
-/// dependency — the file is machine-written by `to_json` above.
-fn json_number(text: &str, name: &str) -> Option<f64> {
-    let key = format!("\"{name}\":");
-    let rest = &text[text.find(&key)? + key.len()..];
-    let rest = rest.trim_start();
-    let end = rest
-        .find(|c: char| !(c.is_ascii_digit() || c == '.' || c == '-' || c == 'e' || c == 'E'))
-        .unwrap_or(rest.len());
-    rest[..end].parse().ok()
-}
-
-fn median(mut xs: Vec<f64>) -> f64 {
-    xs.sort_by(f64::total_cmp);
-    xs[xs.len() / 2]
-}
+/// `BENCH_surface.json`: its fields in file order and the `--check` gate table.
+const BENCH: Bench = Bench {
+    name: "surface",
+    fields: &[
+        ("grid_values", Format::Count),
+        ("sup_error", Format::Exp),
+        ("exact_ns_per_eval", Format::Tenths),
+        ("surface_ns_per_lookup", Format::Tenths),
+        ("speedup", Format::Tenths),
+    ],
+    gates: &[
+        Gate::AtLeast("speedup", MIN_SPEEDUP),
+        Gate::Drift("exact_ns_per_eval"),
+        Gate::Drift("surface_ns_per_lookup"),
+    ],
+};
 
 /// Deterministic in-domain query points: a low-discrepancy walk over the
 /// standby-temperature, RAS and lifetime axes at the artifact's stress
@@ -92,7 +64,8 @@ fn queries() -> Vec<SurfaceQuery> {
         .collect()
 }
 
-fn measure() -> Record {
+/// The record's values, in [`BENCH`] field order.
+fn measure() -> [f64; BENCH.fields.len()] {
     let model = NbtiModel::ptm90().expect("ptm90 calibration is valid");
     let spec = BuildSpec {
         t_standby_k: kelvin_spaced(320.0, 400.0, 9),
@@ -102,152 +75,59 @@ fn measure() -> Record {
         ..BuildSpec::paper_defaults()
     };
     let artifact = build(&model, &spec).expect("bench grid builds");
-    let grid_values = (artifact.pairs.len() * artifact.grid.len()) as u64;
+    let grid_values = (artifact.pairs.len() * artifact.grid.len()) as f64;
     let sup_error = artifact.sup_error;
     let surface = Surface::from_artifact(artifact).expect("bench grid holds the bound");
     let points = queries();
 
     // Exact path: the full Ras -> ModeSchedule -> PmosStress -> hoist
     // pipeline the server runs on a surface miss.
-    let exact_ns = median(
-        (0..REPS)
-            .map(|_| {
-                let mut sum = 0.0;
-                let start = Instant::now();
-                for i in 0..EXACT_ITERS {
-                    let q = &points[i % points.len()];
-                    sum += evaluate_exact(&model, surface.artifact().period_s, q)
-                        .expect("in-domain point evaluates");
-                }
-                black_box(sum);
-                start.elapsed().as_nanos() as f64 / EXACT_ITERS as f64
-            })
-            .collect(),
-    );
+    let exact_ns = median_of_reps(|_| {
+        let mut sum = 0.0;
+        let start = Instant::now();
+        for i in 0..EXACT_ITERS {
+            let q = &points[i % points.len()];
+            sum += evaluate_exact(&model, surface.artifact().period_s, q)
+                .expect("in-domain point evaluates");
+        }
+        black_box(sum);
+        start.elapsed().as_nanos() as f64 / EXACT_ITERS as f64
+    });
 
     // Surface path: bracket + 16-corner blend, nothing else.
-    let surface_ns = median(
-        (0..REPS)
-            .map(|_| {
-                let mut sum = 0.0;
-                let start = Instant::now();
-                for i in 0..LOOKUP_ITERS {
-                    let q = &points[i % points.len()];
-                    sum += surface.lookup(q).expect("known pair").delta_vth_v;
-                }
-                black_box(sum);
-                start.elapsed().as_nanos() as f64 / LOOKUP_ITERS as f64
-            })
-            .collect(),
-    );
+    let surface_ns = median_of_reps(|_| {
+        let mut sum = 0.0;
+        let start = Instant::now();
+        for i in 0..LOOKUP_ITERS {
+            let q = &points[i % points.len()];
+            sum += surface.lookup(q).expect("known pair").delta_vth_v;
+        }
+        black_box(sum);
+        start.elapsed().as_nanos() as f64 / LOOKUP_ITERS as f64
+    });
 
-    Record {
+    [
         grid_values,
         sup_error,
-        exact_ns_per_eval: exact_ns,
-        surface_ns_per_lookup: surface_ns,
-        speedup: exact_ns / surface_ns,
-    }
-}
-
-fn record_path() -> PathBuf {
-    // crates/bench -> workspace root, so the record lives next to the
-    // figure goldens regardless of the invoking directory.
-    PathBuf::from(env!("CARGO_MANIFEST_DIR"))
-        .join("../..")
-        .join("BENCH_surface.json")
-}
-
-fn check(fresh: &Record) -> Result<(), String> {
-    let path = record_path();
-    let text = std::fs::read_to_string(&path)
-        .map_err(|e| format!("cannot read {}: {e}", path.display()))?;
-    let committed_exact = json_number(&text, "exact_ns_per_eval")
-        .ok_or("committed record lacks exact_ns_per_eval")?;
-    let committed_surface = json_number(&text, "surface_ns_per_lookup")
-        .ok_or("committed record lacks surface_ns_per_lookup")?;
-    let committed_speedup =
-        json_number(&text, "speedup").ok_or("committed record lacks speedup")?;
-    if committed_speedup < MIN_SPEEDUP {
-        return Err(format!(
-            "committed speedup {committed_speedup:.1}x is below the required {MIN_SPEEDUP:.1}x"
-        ));
-    }
-    if fresh.speedup < MIN_SPEEDUP {
-        return Err(format!(
-            "measured speedup {:.1}x is below the required {MIN_SPEEDUP:.1}x",
-            fresh.speedup
-        ));
-    }
-    for (name, committed, measured) in [
-        (
-            "exact_ns_per_eval",
-            committed_exact,
-            fresh.exact_ns_per_eval,
-        ),
-        (
-            "surface_ns_per_lookup",
-            committed_surface,
-            fresh.surface_ns_per_lookup,
-        ),
-    ] {
-        let ratio = if measured > committed {
-            measured / committed
-        } else {
-            committed / measured
-        };
-        if !(ratio.is_finite() && ratio <= DRIFT_FACTOR) {
-            return Err(format!(
-                "{name} drifted: committed {committed:.1}, measured {measured:.1} \
-                 (beyond {DRIFT_FACTOR:.0}x tolerance; rerun with --write on this machine)"
-            ));
-        }
-    }
-    Ok(())
+        exact_ns,
+        surface_ns,
+        exact_ns / surface_ns,
+    ]
 }
 
 fn main() -> ExitCode {
-    let args: Vec<String> = std::env::args().skip(1).collect();
-    let mode = match args.first().map(String::as_str) {
-        None => "print",
-        Some("--write") => "write",
-        Some("--check") => "check",
-        Some(other) => {
-            eprintln!("bench_surface: unknown flag {other}");
-            eprintln!("usage: bench_surface [--write | --check]");
-            return ExitCode::from(2);
-        }
-    };
+    BENCH.run(measure)
+}
 
-    let fresh = measure();
-    println!(
-        "surface bench: {} grid values, sup-error {:e} (median of {REPS} reps)",
-        fresh.grid_values, fresh.sup_error
-    );
-    println!("exact  : {:>10.1} ns/eval", fresh.exact_ns_per_eval);
-    println!("surface: {:>10.1} ns/lookup", fresh.surface_ns_per_lookup);
-    println!("speedup: {:>10.1}x", fresh.speedup);
+#[cfg(test)]
+mod tests {
+    use super::BENCH;
 
-    match mode {
-        "write" => {
-            let path = record_path();
-            if let Err(e) = std::fs::write(&path, fresh.to_json()) {
-                eprintln!("bench_surface: cannot write {}: {e}", path.display());
-                return ExitCode::from(1);
-            }
-            println!("wrote {}", path.display());
-            ExitCode::SUCCESS
-        }
-        "check" => match check(&fresh) {
-            Ok(()) => {
-                println!("check: committed record within tolerance, speedup gate held");
-                ExitCode::SUCCESS
-            }
-            Err(e) => {
-                eprintln!("bench_surface: {e}");
-                ExitCode::from(1)
-            }
-        },
-        _ => ExitCode::SUCCESS,
+    #[test]
+    fn committed_record_round_trips_and_holds_its_bounds() {
+        let text = BENCH.read_committed().expect("committed record reads");
+        let committed = BENCH.parse(&text).expect("committed record parses");
+        assert_eq!(BENCH.render(&committed), text);
+        assert_eq!(BENCH.check(&committed, &committed), Vec::<String>::new());
     }
 }

@@ -11,6 +11,11 @@
 //! ```text
 //! cargo run --release -p relia-bench --bin table1_vth_ras
 //! ```
+//!
+//! The `bench_*` runners gate committed `BENCH_*.json` cost records
+//! through [`gate`].
+
+pub mod gate;
 
 use relia_core::{Kelvin, ModeSchedule, Ras, Seconds};
 use relia_jobs::{

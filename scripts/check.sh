@@ -41,6 +41,18 @@ if [ -n "$dupes" ]; then
     exit 1
 fi
 
+echo "==> one bench-gate harness (relia_bench::gate)"
+# Record paths, parsing, medians and the drift band live in
+# crates/bench/src/gate.rs; a bench runner that grows its own copy fails
+# the gate.
+dupes="$(grep -lE 'fn json_number|fn median|DRIFT_FACTOR|fn record_path' \
+    crates/bench/src/bin/*.rs || true)"
+if [ -n "$dupes" ]; then
+    echo "bench-gate scaffolding outside relia_bench::gate:" >&2
+    printf '%s\n' "$dupes" >&2
+    exit 1
+fi
+
 echo "==> relia serve (boot, loadgen smoke, graceful drain)"
 # Boot the real CLI binary on an ephemeral port, fire 1k mixed requests
 # through the byte-parity load generator, and let it drain the server via
